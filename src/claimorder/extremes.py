@@ -4,6 +4,14 @@ For a portfolio of Bernoulli-thinned severities T_i = J_i U_i the extreme of
 the first m claims has closed-form survival/CDF products; the random-count
 versions are finite mixtures over the count support, with N = m selecting the
 FIRST m claims of the ordered portfolio.
+
+Consecutive m share all but one factor, so every curve is read off one prefix
+kernel: the severity family is evaluated once for all claims on the whole
+grid, the per-claim log terms (and hazard terms) are summed claim by claim,
+and row m - 1 of those running sums gives the first-m curve.  A fixed-m curve
+reads one row; a mixture weights the rows at the count support.  A curve on
+``x`` thus costs O(n * |x|) family work plus O(|support| * |x|) for the
+mixture, where n is the largest count used.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -156,17 +165,83 @@ def _check_counts(portfolio: Portfolio, counts: ClaimCountDistribution):
 
 
 # ---------------------------------------------------------------------------
+# the prefix kernel
+
+
+def _prefixes(portfolio: Portfolio, m_max: int, x, kind: ExtremeKind, hazard: bool = False):
+    """Running sums over the first ``m_max`` claims; row ``m - 1`` covers claims 1..m.
+
+    MIN: ``sum_i (log p_i + log F-bar_i)`` = log P(T_{1:m} > x), and ``sum_i r_i``.
+    MAX: ``sum_i log1p(-p_i F-bar_i)`` = log P(T_{m:m} <= x), and
+    ``sum_i p_i F-bar_i r_i / (1 - p_i F-bar_i)``.
+
+    Each family function is called once, with the claims as a column against
+    ``x`` as a row, and the sums are accumulated claim by claim in portfolio
+    order, so row ``m - 1`` equals the sum of the first m per-claim terms
+    added left to right.  Both arrays have shape ``[m_max, *x.shape]``; the
+    second is None unless ``hazard`` is set.  Cost: O(m_max * x.size).
+    """
+    x = np.asarray(x, dtype=float)
+    row = x.reshape(1, -1)
+    alpha = portfolio.alpha[:m_max, None]
+    log_s = np.asarray(portfolio.family.log_survival(row, alpha), dtype=float)
+    if kind is ExtremeKind.MIN:
+        # log p_i joins the running total before log F-bar_i does
+        steps = np.empty((m_max, 2, row.shape[1]))
+        steps[:, 0] = np.array([math.log(v) for v in portfolio.p[:m_max]])[:, None]
+        steps[:, 1] = log_s
+        logs = np.cumsum(steps.reshape(2 * m_max, -1), axis=0)[1::2]
+    else:
+        ps = portfolio.p[:m_max, None] * np.exp(log_s)
+        logs = np.cumsum(np.log1p(-ps), axis=0)
+    rates = None
+    if hazard:
+        terms = np.asarray(portfolio.family.hazard(row, alpha), dtype=float)
+        if kind is ExtremeKind.MAX:
+            denom = 1.0 - ps
+            if np.any(denom <= 0.0):
+                raise SingularityError("1 - p * survival underflowed to 0")
+            terms = ps * terms / denom
+        rates = np.cumsum(terms, axis=0).reshape(m_max, *x.shape)
+    return logs.reshape(m_max, *x.shape), rates
+
+
+def _cdf(kind: ExtremeKind, logs):
+    return -np.expm1(logs) if kind is ExtremeKind.MIN else np.exp(logs)
+
+
+def _density(logs, rates):
+    # MIN: survival times the summed hazards; MAX: CDF times the reversed hazard
+    return np.exp(logs) * rates
+
+
+def _fixed(portfolio: Portfolio, m: int, x, kind: ExtremeKind, hazard: bool = False):
+    m = _check_m(portfolio, m)
+    logs, rates = _prefixes(portfolio, m, x, kind, hazard)
+    return logs[m - 1], None if rates is None else rates[m - 1]
+
+
+def _random(portfolio: Portfolio, counts: ClaimCountDistribution, x, kind: ExtremeKind,
+            hazard: bool = False):
+    _check_counts(portfolio, counts)
+    return _prefixes(portfolio, counts.max_support, x, kind, hazard)
+
+
+def _mixture(counts: ClaimCountDistribution, curve, *prefixes):
+    """sum_m P(N = m) curve(row m - 1 of each prefix array), in support order."""
+    total = np.zeros(prefixes[0].shape[1:])
+    for m, w in zip(counts.support, counts.weights):
+        total = total + w * curve(*(a[m - 1] for a in prefixes))
+    return total
+
+
+# ---------------------------------------------------------------------------
 # fixed m
 
 
 def log_survival_min_fixed(portfolio: Portfolio, m: int, x):
     """log P(T_{1:m} > x) = sum_i (log p_i + log F-bar(x; alpha_i))."""
-    m = _check_m(portfolio, m)
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
-    for i in range(m):
-        total = total + math.log(portfolio.p[i]) + portfolio.family.log_survival(x, portfolio.alpha[i])
-    return total
+    return _fixed(portfolio, m, x, ExtremeKind.MIN)[0]
 
 
 def survival_min_fixed(portfolio: Portfolio, m: int, x):
@@ -179,13 +254,7 @@ def cdf_min_fixed(portfolio: Portfolio, m: int, x):
 
 def cdf_max_fixed(portfolio: Portfolio, m: int, x):
     """P(T_{m:m} <= x) = prod_i (1 - p_i F-bar(x; alpha_i)), via log1p sums."""
-    m = _check_m(portfolio, m)
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
-    for i in range(m):
-        s = np.exp(portfolio.family.log_survival(x, portfolio.alpha[i]))
-        total = total + np.log1p(-portfolio.p[i] * s)
-    return np.exp(total)
+    return np.exp(_fixed(portfolio, m, x, ExtremeKind.MAX)[0])
 
 
 def survival_max_fixed(portfolio: Portfolio, m: int, x):
@@ -194,72 +263,45 @@ def survival_max_fixed(portfolio: Portfolio, m: int, x):
 
 def reversed_hazard_max_fixed(portfolio: Portfolio, m: int, x):
     """sum_i p_i F-bar r / (1 - p_i F-bar) over the first m claims."""
-    m = _check_m(portfolio, m)
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
-    for i in range(m):
-        s = np.exp(portfolio.family.log_survival(x, portfolio.alpha[i]))
-        r = portfolio.family.hazard(x, portfolio.alpha[i])
-        denom = 1.0 - portfolio.p[i] * s
-        if np.any(denom <= 0.0):
-            raise SingularityError("1 - p * survival underflowed to 0")
-        total = total + portfolio.p[i] * s * r / denom
-    return total
-
-
-def _hazard_sum(portfolio: Portfolio, m: int, x):
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
-    for i in range(m):
-        total = total + portfolio.family.hazard(x, portfolio.alpha[i])
-    return total
+    return _fixed(portfolio, m, x, ExtremeKind.MAX, hazard=True)[1]
 
 
 def reversed_hazard_min_fixed(portfolio: Portfolio, m: int, x):
     """(F-bar_{T_1:m} / F_{T_1:m}) * sum_i r(x; alpha_i)."""
-    m = _check_m(portfolio, m)
-    ls = log_survival_min_fixed(portfolio, m, x)
+    ls, hazards = _fixed(portfolio, m, x, ExtremeKind.MIN, hazard=True)
     s = np.exp(ls)
     f = -np.expm1(ls)
     # the atom at 0 has mass 1 - prod p_i > 0, so f > 0 for all x >= 0
-    return (s / f) * _hazard_sum(portfolio, m, x)
+    return (s / f) * hazards
 
 
 def density_min_fixed(portfolio: Portfolio, m: int, x):
     """Density of T_{1:m} on x > 0 (excluding the atom at 0)."""
-    m = _check_m(portfolio, m)
-    return survival_min_fixed(portfolio, m, x) * _hazard_sum(portfolio, m, x)
+    return _density(*_fixed(portfolio, m, x, ExtremeKind.MIN, hazard=True))
 
 
 def density_max_fixed(portfolio: Portfolio, m: int, x):
     """Density of T_{m:m} on x > 0 (excluding the atom at 0)."""
-    m = _check_m(portfolio, m)
-    return cdf_max_fixed(portfolio, m, x) * reversed_hazard_max_fixed(portfolio, m, x)
+    return _density(*_fixed(portfolio, m, x, ExtremeKind.MAX, hazard=True))
 
 
 # ---------------------------------------------------------------------------
 # random N
 
 
-def _mixture(portfolio: Portfolio, counts: ClaimCountDistribution, fixed_fn, x):
-    _check_counts(portfolio, counts)
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
-    for m, w in zip(counts.support, counts.weights):
-        total = total + w * fixed_fn(portfolio, int(m), x)
-    return total
-
-
 def survival_min_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
-    return _mixture(portfolio, counts, survival_min_fixed, x)
+    logs, _ = _random(portfolio, counts, x, ExtremeKind.MIN)
+    return _mixture(counts, np.exp, logs)
 
 
 def cdf_min_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
-    return _mixture(portfolio, counts, cdf_min_fixed, x)
+    logs, _ = _random(portfolio, counts, x, ExtremeKind.MIN)
+    return _mixture(counts, partial(_cdf, ExtremeKind.MIN), logs)
 
 
 def cdf_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
-    return _mixture(portfolio, counts, cdf_max_fixed, x)
+    logs, _ = _random(portfolio, counts, x, ExtremeKind.MAX)
+    return _mixture(counts, np.exp, logs)
 
 
 def survival_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
@@ -267,15 +309,14 @@ def survival_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x)
 
 
 def density_random(portfolio: Portfolio, counts: ClaimCountDistribution, kind: ExtremeKind, x):
-    fixed = density_min_fixed if kind is ExtremeKind.MIN else density_max_fixed
-    return _mixture(portfolio, counts, fixed, x)
+    return _mixture(counts, _density, *_random(portfolio, counts, x, kind, hazard=True))
 
 
 def reversed_hazard_random(portfolio: Portfolio, counts: ClaimCountDistribution, kind: ExtremeKind, x):
     """Mixture reversed hazard: term-wise mixture density over mixture CDF."""
-    num = density_random(portfolio, counts, kind, x)
-    cdf_fn = cdf_min_random if kind is ExtremeKind.MIN else cdf_max_random
-    den = cdf_fn(portfolio, counts, x)
+    logs, rates = _random(portfolio, counts, x, kind, hazard=True)
+    num = _mixture(counts, _density, logs, rates)
+    den = _mixture(counts, partial(_cdf, kind), logs)
     if np.any(den <= 0.0):
         raise SingularityError("mixture CDF underflowed to 0")
     return num / den

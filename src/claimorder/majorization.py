@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, SolverError
 
@@ -170,6 +169,10 @@ def chain_majorizes_doubly_stochastic(A: ParamMatrix, B: ParamMatrix) -> DoublyS
     """Decide whether B = A P for some doubly stochastic P; return P when feasible."""
     if A.n != B.n:
         raise DomainError("matrices must have equal width")
+    # imported here: scipy.optimize costs a noticeable share of every CLI start,
+    # and only the two LP checks use it
+    from scipy import optimize
+
     n = A.n
     Aeq, beq = _ds_constraints(A.as_array(), B.as_array())
     res = optimize.linprog(
@@ -200,6 +203,8 @@ def birkhoff_vertex_feasible(A: ParamMatrix, B: ParamMatrix) -> bool:
     M = np.column_stack(cols)  # (2n) x n!
     Aeq = np.vstack([M, np.ones((1, M.shape[1]))])
     beq = np.concatenate([Barr.ravel(), [1.0]])
+    from scipy import optimize
+
     res = optimize.linprog(
         c=np.zeros(M.shape[1]),
         A_eq=Aeq,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimorder.errors import DomainError
 from claimorder.extremes import (
@@ -16,14 +18,27 @@ from claimorder.extremes import (
     counts_st_leq,
     density_max_fixed,
     density_min_fixed,
+    density_random,
     poisson_counts,
     reversed_hazard_max_fixed,
     reversed_hazard_min_fixed,
     reversed_hazard_random,
+    survival_max_fixed,
+    survival_max_random,
     survival_min_fixed,
     survival_min_random,
 )
-from claimorder.severity import Exponential, neg_log
+from claimorder.severity import (
+    Exponential,
+    Gamma,
+    KumaraswamyG,
+    PowerGeneralizedWeibull,
+    ProportionalHazard,
+    Scale,
+    WeibullRate,
+    gamma_baseline,
+    neg_log,
+)
 
 
 def exp_portfolio(p, alpha):
@@ -197,3 +212,140 @@ class TestRandomExtremes:
         assert grid.size == 400
         assert np.all(np.diff(grid) > 0)
         assert cdf_max_random(self.pf, self.counts, grid[-1]) >= 1.0 - 1e-6
+
+
+SHIPPED_FAMILIES = {
+    "exponential": Exponential(),
+    "weibull_rate": WeibullRate(1.7),
+    "gamma": Gamma(1.3),
+    "pgw": PowerGeneralizedWeibull(2.0),
+    "scale_gamma": Scale(gamma_baseline(1.5)),
+    "proportional_hazard": ProportionalHazard(gamma_baseline(2.0)),
+    "kumaraswamy_g": KumaraswamyG(gamma_baseline(1.5), 0.7),
+}
+
+
+def _reference_fixed(pf, m, xs):
+    """Every fixed-m curve as a per-claim product/sum of family.survival and
+    family.hazard, one claim at a time, without the prefix kernel."""
+    s = np.array([pf.family.survival(xs, a) for a in pf.alpha[:m]])
+    r = np.array([pf.family.hazard(xs, a) for a in pf.alpha[:m]])
+    q = pf.p[:m, None] * s
+    surv_min = np.prod(q, axis=0)
+    hazard_sum = np.sum(r, axis=0)
+    cdf_max = np.prod(1.0 - q, axis=0)
+    rh_max = np.sum(q * r / (1.0 - q), axis=0)
+    return {
+        (ExtremeKind.MIN, "survival"): surv_min,
+        (ExtremeKind.MIN, "cdf"): 1.0 - surv_min,
+        (ExtremeKind.MIN, "density"): surv_min * hazard_sum,
+        (ExtremeKind.MIN, "rh"): surv_min * hazard_sum / (1.0 - surv_min),
+        (ExtremeKind.MAX, "survival"): 1.0 - cdf_max,
+        (ExtremeKind.MAX, "cdf"): cdf_max,
+        (ExtremeKind.MAX, "density"): cdf_max * rh_max,
+        (ExtremeKind.MAX, "rh"): rh_max,
+    }
+
+
+def _reference_random(pf, counts, xs):
+    fixed = [_reference_fixed(pf, int(m), xs) for m in counts.support]
+    out = {key: sum(w * f[key] for w, f in zip(counts.weights, fixed)) for key in fixed[0]}
+    for kind in ExtremeKind:
+        out[kind, "rh"] = out[kind, "density"] / out[kind, "cdf"]
+    return out
+
+
+def _assert_rel(got, ref, key, rtol=1e-12):
+    got = np.asarray(got, dtype=float)
+    # 1 - F is only as exact as the rounding of F, so the complement of a
+    # curve near 1 is held to the same absolute error as the curve itself
+    scale = np.abs(ref)
+    if key[1] in ("survival", "cdf"):
+        scale = np.maximum(scale, np.abs(1.0 - ref))
+    assert np.all(np.isfinite(got)), key
+    assert np.all(np.abs(got - ref) <= rtol * scale), (key, np.max(np.abs(got - ref) / scale))
+
+
+_FIXED = {
+    (ExtremeKind.MIN, "survival"): survival_min_fixed,
+    (ExtremeKind.MIN, "cdf"): cdf_min_fixed,
+    (ExtremeKind.MIN, "density"): density_min_fixed,
+    (ExtremeKind.MIN, "rh"): reversed_hazard_min_fixed,
+    (ExtremeKind.MAX, "survival"): survival_max_fixed,
+    (ExtremeKind.MAX, "cdf"): cdf_max_fixed,
+    (ExtremeKind.MAX, "density"): density_max_fixed,
+    (ExtremeKind.MAX, "rh"): reversed_hazard_max_fixed,
+}
+
+_RANDOM = {
+    (ExtremeKind.MIN, "survival"): survival_min_random,
+    (ExtremeKind.MIN, "cdf"): cdf_min_random,
+    (ExtremeKind.MAX, "survival"): survival_max_random,
+    (ExtremeKind.MAX, "cdf"): cdf_max_random,
+}
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 40))
+    family = draw(st.sampled_from(sorted(SHIPPED_FAMILIES)))
+    unit = st.floats(0.0, 1.0)
+    p = 0.02 + 0.93 * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    alpha = 0.5 + 2.5 * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    support = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(support),
+                                 max_size=len(support))))
+    counts = ClaimCountDistribution(np.sort(support), raw / raw.sum())
+    m = draw(st.integers(1, n))
+    return Portfolio(SHIPPED_FAMILIES[family], neg_log(), p, alpha), counts, m
+
+
+class TestPrefixKernel:
+    XS = np.geomspace(0.01, 3.0, 17)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_instances())
+    def test_curves_match_per_claim_reference(self, instance):
+        pf, counts, m = instance
+        ref = _reference_fixed(pf, m, self.XS)
+        for key, fn in _FIXED.items():
+            _assert_rel(fn(pf, m, self.XS), ref[key], key)
+        ref = _reference_random(pf, counts, self.XS)
+        for key, fn in _RANDOM.items():
+            _assert_rel(fn(pf, counts, self.XS), ref[key], key)
+        for kind in ExtremeKind:
+            _assert_rel(density_random(pf, counts, kind, self.XS), ref[kind, "density"],
+                        (kind, "density"))
+            _assert_rel(reversed_hazard_random(pf, counts, kind, self.XS), ref[kind, "rh"],
+                        (kind, "rh"))
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+    def test_family_column_against_row_equals_per_row_calls(self, name):
+        family = SHIPPED_FAMILIES[name]
+        alpha = np.array([0.5, 0.9, 1.0, 1.7, 2.4, 3.0])
+        xs = np.concatenate([np.geomspace(0.01, 3.0, 23), [0.5]])
+        for method in (family.log_survival, family.hazard):
+            block = np.asarray(method(xs[None, :], alpha[:, None]))
+            rows = np.array([method(xs, a) for a in alpha])
+            assert block.shape == rows.shape
+            assert np.array_equal(block, rows), (name, method.__name__)
+
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    def test_n_in_the_hundreds_stays_finite_and_in_unit_interval(self, kind):
+        rng = np.random.default_rng(200)
+        n = 200
+        pf = Portfolio(Scale(gamma_baseline(1.5)), neg_log(),
+                       rng.uniform(0.05, 0.9, n), rng.uniform(0.5, 5.0, n))
+        support = np.arange(1, n + 1)
+        counts = ClaimCountDistribution(support, np.full(n, 1.0 / n))
+        xs = auto_x_grid([pf], [counts], kind, points=400)
+        if kind is ExtremeKind.MIN:
+            curves = [survival_min_random(pf, counts, xs), cdf_min_random(pf, counts, xs)]
+        else:
+            curves = [survival_max_random(pf, counts, xs), cdf_max_random(pf, counts, xs)]
+        for curve in curves:
+            assert np.all(np.isfinite(curve))
+            assert np.all((curve >= 0.0) & (curve <= 1.0 + 1e-12))
+        for curve in (density_random(pf, counts, kind, xs),
+                      reversed_hazard_random(pf, counts, kind, xs)):
+            assert np.all(np.isfinite(curve)) and np.all(curve >= 0.0)

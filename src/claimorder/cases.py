@@ -47,8 +47,6 @@ class BuiltinCase:
     kind: ExtremeKind
     comparison: str  # "difference" or "ratio"
     corrections: Tuple[str, ...]
-    literal_exponents_a: Tuple[float, ...]
-    literal_exponents_b: Tuple[float, ...]
 
     def curve_a(self, x):
         if self.kind is ExtremeKind.MAX:
@@ -129,7 +127,6 @@ def get_case(name: str, literal: bool = False) -> BuiltinCase:
         return BuiltinCase(
             "cex3_3", base.portfolio_a, base.portfolio_b, base.counts_a,
             base.counts_b, ExtremeKind.MAX, "ratio", base.corrections,
-            base.literal_exponents_a, base.literal_exponents_b,
         )
 
     if literal:
@@ -154,6 +151,4 @@ def get_case(name: str, literal: bool = False) -> BuiltinCase:
         kind,
         comparison,
         tuple(notes_p + notes_q),
-        exp_p,
-        exp_q,
     )

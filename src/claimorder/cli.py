@@ -29,7 +29,7 @@ from . import majorization as maj
 from .cases import CASE_NAMES, get_case
 from .errors import ClaimOrderError, DomainError, SpecError
 from .extremes import ClaimCountDistribution, ExtremeKind, Portfolio, poisson_counts
-from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, audit
+from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, _bisect_root, audit, verify_rh
 from .severity import (
     Exponential,
     Gamma,
@@ -221,13 +221,20 @@ def load_instance_spec(path: str) -> InstanceSpec:
         value = grid_node.get(key, "auto")
         if value in ("auto", None):
             return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _spec_error(f"grid.{key}", f"expected a number or 'auto', got {value!r}")
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not np.isfinite(value) or value <= 0):
+            raise _spec_error(f"grid.{key}",
+                              f"expected a positive number or 'auto', got {value!r}")
         return float(value)
 
     points = grid_node.get("points", 2000)
     if not isinstance(points, int) or points < 16:
         raise _spec_error("grid.points", f"expected an integer >= 16, got {points!r}")
+
+    x_min, x_max = _grid_edge("x_min"), _grid_edge("x_max")
+    if x_min is not None and x_max is not None and x_min >= x_max / 10.0:
+        raise _spec_error("grid.x_min", f"must lie below grid.x_max / 10 = {x_max / 10.0:g}, "
+                                        f"got {x_min:g}")
 
     spec = InstanceSpec(
         portfolio_a=_build_portfolio(_require(doc, "portfolio_a", "<root>"), "portfolio_a"),
@@ -236,8 +243,8 @@ def load_instance_spec(path: str) -> InstanceSpec:
         counts_b=_build_counts(_require(doc, "counts_b", "<root>"), "counts_b"),
         kind=ExtremeKind(kind_str),
         points=points,
-        x_min=_grid_edge("x_min"),
-        x_max=_grid_edge("x_max"),
+        x_min=x_min,
+        x_max=x_max,
         tolerance=_get_number(doc, "tolerance", "<root>", default=1e-9),
         seed=int(_get_number(doc, "seed", "<root>", default=0)),
     )
@@ -269,17 +276,6 @@ def write_curve_csv(path: str, x, value_a, value_b, delta) -> None:
 # reproduce
 
 
-def _bisect_sign_change(fn, lo, hi, width=1e-6):
-    flo = fn(lo)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0) == (flo > 0):
-            lo, flo = mid, fn(mid)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _difference_verdict(case, x, delta, tol) -> str:
     if float(delta.max()) <= tol:
         return f"holds: difference <= 0 everywhere (max difference {delta.max():.6g})"
@@ -291,17 +287,15 @@ def _difference_verdict(case, x, delta, tol) -> str:
     i = int(flip[0])
     j = int(nz[np.searchsorted(nz, i) + 1])
     fn = lambda t: float(case.delta(np.array([t]))[0])
-    x_w = _bisect_sign_change(fn, float(x[i]), float(x[j]))
+    x_w = _bisect_root(fn, float(x[i]), float(x[j]))
     return f"sign change at x ~= {x_w:.6g}"
 
 
-def _ratio_verdict(x, delta, tol) -> str:
-    steps = np.diff(delta)
-    bad = steps < -tol
-    runs = bad[:-1] & bad[1:]
-    if not np.any(runs):
+def _ratio_verdict(case, x, tol) -> str:
+    verdict = verify_rh(case.curve_a, case.curve_b, x, tol=tol)
+    if verdict.holds:
         return "ratio non-decreasing on the grid"
-    i = int(np.argmax(runs))
+    i = int(np.searchsorted(x, verdict.witness[0])) - 1
     return f"ratio decreases on [{x[i]:.6g}, {x[i + 2]:.6g}] (not monotone)"
 
 
@@ -317,7 +311,7 @@ def cmd_reproduce(args) -> int:
         write_curve_csv(args.out, x, a, b, delta)
         print(f"wrote {x.size} rows to {args.out}")
     if case.comparison == "ratio":
-        verdict = _ratio_verdict(x, delta, args.tol)
+        verdict = _ratio_verdict(case, x, args.tol)
     else:
         verdict = _difference_verdict(case, x, delta, args.tol)
     print(f"{case.name}: {verdict}")
@@ -354,13 +348,14 @@ def cmd_audit(args) -> int:
                 f"unknown theorem id {args.theorem!r}; choose from "
                 + ", ".join(t.value for t in TheoremId) + " or 'all'"
             )
+    grid = spec.grid()
     reports = []
     for tid in ids:
         try:
             result = audit(
                 tid, spec.portfolio_a, spec.portfolio_b,
                 spec.counts_a, spec.counts_b,
-                grid=spec.grid(), tol=spec.tolerance,
+                grid=grid, tol=spec.tolerance,
             )
         except DomainError as exc:
             if args.theorem != "all":

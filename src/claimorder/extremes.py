@@ -116,10 +116,6 @@ class ClaimCountDistribution:
     def max_support(self) -> int:
         return int(self.support[-1])
 
-    def pmf(self, m: int) -> float:
-        hits = self.support == m
-        return float(self.weights[hits].sum())
-
     def survival(self, m: int) -> float:
         """P(N > m)."""
         return float(self.weights[self.support > m].sum())
@@ -339,7 +335,8 @@ def auto_x_grid(
 
     ``x_max`` defaults to the smallest value at which every mixture CDF
     exceeds ``1 - tail_mass`` (for MIN, at which every mixture survival drops
-    below ``tail_mass``).
+    below ``tail_mass``); ``x_min`` defaults to ``1e-4 * x_max`` and must lie
+    in (0, x_max / 10), where the geometric part of the grid ends.
     """
     if x_max is None:
         x_max = 1.0
@@ -358,6 +355,8 @@ def auto_x_grid(
             x_max *= 2.0
     if x_min is None:
         x_min = 1e-4 * x_max
+    if not 0.0 < x_min < x_max / 10.0:
+        raise DomainError(f"grid x_min={x_min:g} must lie in (0, x_max / 10 = {x_max / 10.0:g})")
     n_geo = points // 4
     geo = np.geomspace(x_min, x_max / 10.0, n_geo, endpoint=False)
     lin = np.linspace(x_max / 10.0, x_max, points - n_geo)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import extremes as ext
 from . import majorization as maj
-from .errors import DomainError, EvaluationError, GridError
+from .errors import DomainError, EvaluationError
 from .extremes import ClaimCountDistribution, ExtremeKind, Portfolio
 from .severity import check_regularity
 
@@ -27,6 +28,8 @@ __all__ = [
     "SchurTestResult",
     "schur_test",
     "TheoremId",
+    "TheoremSpec",
+    "THEOREMS",
     "Precondition",
     "TheoremAudit",
     "audit",
@@ -141,12 +144,8 @@ def verify_rh(cdf_a, cdf_b, grid, tol: float = 1e-9, rh_a=None, rh_b=None) -> Or
     if not np.any(confirmed):
         return OrderVerdict(True, margin, spec, evidence=evidence)
     first = int(np.argmax(confirmed))
-    x_w = float(grid[first + 1])
-    return OrderVerdict(
-        False, margin, spec,
-        witness=(x_w, float(ratio[first]), float(ratio[first + 1])),
-        evidence=evidence,
-    )
+    witness = (float(grid[first + 1]), float(ratio[first]), float(ratio[first + 1]))
+    return OrderVerdict(False, margin, spec, witness=witness, evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +258,157 @@ class TheoremAudit:
         }
 
 
-_NEEDS_EQUAL_P = {TheoremId.ST_MIN_ALPHA, TheoremId.RH_MAX_ALPHA, TheoremId.RH_MIN_ALPHA}
-_NEEDS_EQUAL_ALPHA = {TheoremId.ST_MIN_PSI, TheoremId.RH_MAX_PSI, TheoremId.RH_MIN_PSI}
-_NEEDS_EQUAL_COUNTS = {TheoremId.RH_MAX_RANDOM, TheoremId.RH_MIN_RANDOM, TheoremId.RH_MIN_PRESERVE}
-_NEEDS_COUNTS = {
-    TheoremId.ST_MIN_RANDOM, TheoremId.ST_MAX_RANDOM, TheoremId.ST_MAX_KWG,
-    TheoremId.ST_MAX_SCALE, TheoremId.ST_MAX_PHR, TheoremId.ST_MAX_CHAIN,
-    TheoremId.ST_MAX_SCALE_CHAIN,
-} | _NEEDS_EQUAL_COUNTS
-_FIXED_N = {
-    TheoremId.ST_MIN_ALPHA, TheoremId.ST_MIN_PSI, TheoremId.ST_MAX_FIXED,
-    TheoremId.RH_MAX_ALPHA, TheoremId.RH_MAX_PSI, TheoremId.RH_MIN_ALPHA,
-    TheoremId.RH_MIN_PSI,
-}
-_MIN_KIND = {
-    TheoremId.ST_MIN_ALPHA, TheoremId.ST_MIN_PSI, TheoremId.ST_MIN_RANDOM,
-    TheoremId.RH_MIN_ALPHA, TheoremId.RH_MIN_PSI, TheoremId.RH_MIN_RANDOM,
-    TheoremId.RH_MIN_PRESERVE,
-}
-_RH_KIND = {
-    TheoremId.RH_MAX_ALPHA, TheoremId.RH_MAX_PSI, TheoremId.RH_MAX_RANDOM,
-    TheoremId.RH_MIN_ALPHA, TheoremId.RH_MIN_PSI, TheoremId.RH_MIN_RANDOM,
-    TheoremId.RH_MIN_PRESERVE,
+@dataclass(frozen=True)
+class TheoremSpec:
+    """One ordering result: the extreme it compares, the order it concludes
+    ("st" or "rh"), whether N is random, which inputs it requires equal
+    ("p", "alpha", "counts" or None), and its hypotheses in report order.
+    A hypothesis names a ``_REGULARITY`` field or a ``_STRUCTURAL`` check."""
+
+    kind: ExtremeKind
+    order: str
+    random_n: bool
+    equal: Optional[str]
+    preconditions: Tuple[str, ...]
+
+
+_REGULARITY = {
+    "survival decreasing in alpha": "decreasing_in_alpha",
+    "CDF increasing in alpha (survival decreasing)": "decreasing_in_alpha",
+    "survival convex in alpha": "convex_in_alpha",
+    "survival log-convex in alpha": "logconvex_in_alpha",
+    "CDF log-convex in alpha": "logconvex_in_alpha_of_F",
+    "hazard decreasing in alpha": "hazard_decreasing_in_alpha",
+    "hazard convex in alpha": "hazard_convex_in_alpha",
+    "psi decreasing": "psi_decreasing",
+    "psi increasing": "psi_increasing",
+    "psi convex": "psi_convex",
+    "psi log-convex": "psi_logconvex",
 }
 
 
-def _fmt(check) -> str:
-    return f"worst margin {check.worst_margin:.3e}"
+def _rows(result):
+    return result.holds, f"psi row {result.psi_row}, alpha row {result.alpha_row}"
+
+
+def _baseline_density_decreasing(i):
+    if not hasattr(i.pf_a.family, "baseline"):
+        return False, "family has no baseline"
+    dens = np.asarray(i.pf_a.family.baseline.pdf(i.xgrid), dtype=float)
+    return np.all(np.diff(dens) <= i.reg_tol)
+
+
+def _increasing_in_m(i, curve):
+    """Whether ``curve(m, xs)`` is non-decreasing in m over the support of N_1."""
+    xs = i.grid[i.grid > 0][:: max(1, i.grid.size // 50)]
+    rows = np.array([curve(int(m), xs) for m in i.counts_a.support])
+    return np.all(np.diff(rows, axis=0) >= -i.tol)
+
+
+def _fixed_n_rh(i):
+    m = i.counts_a.max_support
+    fixed = verify_rh(lambda x: ext.cdf_min_fixed(i.pf_a, m, x),
+                      lambda x: ext.cdf_min_fixed(i.pf_b, m, x), i.grid, tol=i.tol)
+    return fixed.holds, f"margin {fixed.margin:.3e}"
+
+
+# each check returns a truth value, or (truth value, evidence)
+_STRUCTURAL: Dict[str, Callable] = {
+    "(psi(p), alpha) in M_n": lambda i: maj.in_Mn(i.A),
+    "(psi(p*), beta) in M_n": lambda i: maj.in_Mn(i.B),
+    "N_1 <=_st N_2": lambda i: ext.counts_st_leq(i.counts_a, i.counts_b),
+    "A row-weakly majorizes B": lambda i: _rows(maj.row_weakly_majorizes(i.A, i.B)),
+    "A row-majorizes B": lambda i: _rows(maj.row_majorizes(i.A, i.B)),
+    "alpha majorizes beta": lambda i: maj.majorizes(i.pf_a.alpha, i.pf_b.alpha),
+    "alpha weakly supermajorizes beta":
+        lambda i: maj.weakly_supermajorizes(i.pf_a.alpha, i.pf_b.alpha),
+    "psi(p) majorizes psi(p*)": lambda i: maj.majorizes(i.A.row_psi, i.B.row_psi),
+    "psi(p) weakly supermajorizes psi(p*)":
+        lambda i: maj.weakly_supermajorizes(i.A.row_psi, i.B.row_psi),
+    **{f"family is {name}": (lambda i, name=name: i.pf_a.family.name == name)
+       for name in ("kumaraswamy_g", "scale", "proportional_hazard")},
+    "baseline density decreasing": _baseline_density_decreasing,
+    "B = A P for doubly stochastic P": lambda i: (
+        maj.chain_majorizes_doubly_stochastic(i.A, i.B).feasible,
+        "necessary condition for a T-transform chain factorization"),
+    "alpha_n >= beta_n": lambda i: i.pf_a.alpha[-1] >= i.pf_b.alpha[-1] - 1e-12,
+    "p_n <= p*_n": lambda i: i.pf_a.p[-1] <= i.pf_b.p[-1] + 1e-12,
+    # the preservation result decomposes into two monotonicity conditions in m
+    # plus the fixed-n reversed-hazard comparison
+    "reversed hazard of min increasing in m": lambda i: _increasing_in_m(
+        i, lambda m, xs: ext.reversed_hazard_min_fixed(i.pf_b, m, xs)),
+    "CDF ratio of min increasing in m": lambda i: _increasing_in_m(
+        i, lambda m, xs: ext.cdf_min_fixed(i.pf_a, m, xs) / ext.cdf_min_fixed(i.pf_b, m, xs)),
+    "fixed-n reversed hazard order holds": _fixed_n_rh,
+}
+
+_MN = ("(psi(p), alpha) in M_n", "(psi(p*), beta) in M_n")
+_S_LOG = ("survival decreasing in alpha", "survival log-convex in alpha")
+_PSI_LOG = ("psi decreasing", "psi log-convex")
+_ST_MAX = ("survival decreasing in alpha", "survival convex in alpha", "psi decreasing",
+           "psi convex", *_MN)
+_SCALE = ("family is scale", "baseline density decreasing")
+_N_ST, _ROW_WEAK = "N_1 <=_st N_2", "A row-weakly majorizes B"
+_DS = "B = A P for doubly stochastic P"
+_MIN, _MAX = ExtremeKind.MIN, ExtremeKind.MAX
+
+THEOREMS: Dict[TheoremId, TheoremSpec] = {
+    TheoremId.ST_MIN_ALPHA: TheoremSpec(_MIN, "st", False, "p", (
+        *_S_LOG, *_MN, "alpha weakly supermajorizes beta")),
+    TheoremId.ST_MIN_PSI: TheoremSpec(_MIN, "st", False, "alpha", (
+        *_PSI_LOG, *_MN, "psi(p) weakly supermajorizes psi(p*)")),
+    TheoremId.ST_MIN_RANDOM: TheoremSpec(_MIN, "st", True, None, (
+        _N_ST, *_S_LOG, *_PSI_LOG, *_MN, _ROW_WEAK)),
+    TheoremId.ST_MAX_FIXED: TheoremSpec(_MAX, "st", False, None, (*_ST_MAX, _ROW_WEAK)),
+    TheoremId.ST_MAX_RANDOM: TheoremSpec(_MAX, "st", True, None, (_N_ST, *_ST_MAX, _ROW_WEAK)),
+    TheoremId.ST_MAX_KWG: TheoremSpec(_MAX, "st", True, None, (
+        "family is kumaraswamy_g", _N_ST, *_ST_MAX, _ROW_WEAK)),
+    TheoremId.ST_MAX_SCALE: TheoremSpec(_MAX, "st", True, None, (
+        *_SCALE, _N_ST, *_ST_MAX, _ROW_WEAK)),
+    TheoremId.ST_MAX_PHR: TheoremSpec(_MAX, "st", True, None, (
+        "family is proportional_hazard", _N_ST, *_ST_MAX, _ROW_WEAK)),
+    TheoremId.ST_MAX_CHAIN: TheoremSpec(_MAX, "st", True, None, (_N_ST, *_ST_MAX, _DS)),
+    TheoremId.ST_MAX_SCALE_CHAIN: TheoremSpec(_MAX, "st", True, None, (
+        *_SCALE, _N_ST, *_ST_MAX, _DS)),
+    TheoremId.RH_MAX_ALPHA: TheoremSpec(_MAX, "rh", False, "p", (
+        "psi decreasing", *_S_LOG, "hazard decreasing in alpha", "hazard convex in alpha",
+        *_MN, "alpha weakly supermajorizes beta")),
+    TheoremId.RH_MAX_PSI: TheoremSpec(_MAX, "rh", False, "alpha", (
+        *_PSI_LOG, "survival decreasing in alpha", "hazard decreasing in alpha", *_MN,
+        "psi(p) weakly supermajorizes psi(p*)")),
+    TheoremId.RH_MAX_RANDOM: TheoremSpec(_MAX, "rh", True, "counts", (
+        "alpha_n >= beta_n", "p_n <= p*_n", *_PSI_LOG, *_S_LOG,
+        "hazard decreasing in alpha", "hazard convex in alpha", *_MN, _ROW_WEAK)),
+    TheoremId.RH_MIN_ALPHA: TheoremSpec(_MIN, "rh", False, "p", (
+        "CDF increasing in alpha (survival decreasing)", "CDF log-convex in alpha",
+        "hazard convex in alpha", *_MN, "alpha majorizes beta")),
+    TheoremId.RH_MIN_PSI: TheoremSpec(_MIN, "rh", False, "alpha", (
+        "psi increasing", "psi log-convex", *_MN, "psi(p) majorizes psi(p*)")),
+    TheoremId.RH_MIN_RANDOM: TheoremSpec(_MIN, "rh", True, "counts", (
+        "psi increasing", "psi log-convex", "CDF log-convex in alpha",
+        "hazard convex in alpha", *_MN, "A row-majorizes B")),
+    TheoremId.RH_MIN_PRESERVE: TheoremSpec(_MIN, "rh", True, "counts", (
+        "reversed hazard of min increasing in m", "CDF ratio of min increasing in m",
+        "fixed-n reversed hazard order holds")),
+}
+
+_EQUAL = {"p": "equal occurrence-probability vectors",
+          "alpha": "equal severity-parameter vectors",
+          "counts": "identically distributed counts"}
+
+
+def _precondition(name: str, inst) -> Precondition:
+    if name in _REGULARITY:
+        check = getattr(inst.reg, _REGULARITY[name])
+        return Precondition(name, bool(check.holds), f"worst margin {check.worst_margin:.3e}")
+    out = _STRUCTURAL[name](inst)
+    ok, evidence = out if isinstance(out, tuple) else (out, "")
+    return Precondition(name, bool(ok), evidence)
 
 
 def _reg_grids(pf_a: Portfolio, pf_b: Portfolio, grid: np.ndarray):
     alphas = np.concatenate([pf_a.alpha, pf_b.alpha])
-    lo, hi = 0.9 * alphas.min(), 1.1 * alphas.max()
-    agrid = np.linspace(lo, hi, 13)
+    agrid = np.linspace(0.9 * alphas.min(), 1.1 * alphas.max(), 13)
     xs = grid[grid > 0]
     xgrid = xs[:: max(1, xs.size // 25)]
     ps = np.concatenate([pf_a.p, pf_b.p])
@@ -302,63 +419,26 @@ def _reg_grids(pf_a: Portfolio, pf_b: Portfolio, grid: np.ndarray):
     return agrid, xgrid, pgrid
 
 
-def _counts_equal(c1: ClaimCountDistribution, c2: ClaimCountDistribution) -> bool:
-    return (
-        c1.support.shape == c2.support.shape
-        and np.array_equal(c1.support, c2.support)
-        and np.allclose(c1.weights, c2.weights, atol=1e-12)
-    )
+def _conclusion(spec: TheoremSpec, inst, grid: np.ndarray) -> OrderVerdict:
+    """Check the conclusion on ``grid``.  A fixed-N result reads the random-N
+    curves at N = n, whose survival and CDF equal the fixed-n ones bit for bit."""
+    ca, cb = (inst.counts_a, inst.counts_b) if spec.random_n else (
+        ClaimCountDistribution.degenerate(inst.pf_a.n),) * 2
 
+    def pair(curve, *args):
+        return (lambda x: curve(inst.pf_a, ca, *args, x),
+                lambda x: curve(inst.pf_b, cb, *args, x))
 
-def _conclusion(
-    theorem_id: TheoremId,
-    pf_a: Portfolio,
-    pf_b: Portfolio,
-    counts_a: Optional[ClaimCountDistribution],
-    counts_b: Optional[ClaimCountDistribution],
-    grid: np.ndarray,
-    tol: float,
-) -> OrderVerdict:
-    n = pf_a.n
-    is_min = theorem_id in _MIN_KIND
-    if theorem_id in _FIXED_N:
-        if is_min:
-            cdf_a = lambda x: ext.cdf_min_fixed(pf_a, n, x)
-            cdf_b = lambda x: ext.cdf_min_fixed(pf_b, n, x)
-            surv_a = lambda x: ext.survival_min_fixed(pf_a, n, x)
-            surv_b = lambda x: ext.survival_min_fixed(pf_b, n, x)
-            rh_a = lambda x: ext.reversed_hazard_min_fixed(pf_a, n, x)
-            rh_b = lambda x: ext.reversed_hazard_min_fixed(pf_b, n, x)
-        else:
-            cdf_a = lambda x: ext.cdf_max_fixed(pf_a, n, x)
-            cdf_b = lambda x: ext.cdf_max_fixed(pf_b, n, x)
-            surv_a = lambda x: ext.survival_max_fixed(pf_a, n, x)
-            surv_b = lambda x: ext.survival_max_fixed(pf_b, n, x)
-            rh_a = lambda x: ext.reversed_hazard_max_fixed(pf_a, n, x)
-            rh_b = lambda x: ext.reversed_hazard_max_fixed(pf_b, n, x)
-    else:
-        kind = ExtremeKind.MIN if is_min else ExtremeKind.MAX
-        if is_min:
-            cdf_a = lambda x: ext.cdf_min_random(pf_a, counts_a, x)
-            cdf_b = lambda x: ext.cdf_min_random(pf_b, counts_b, x)
-            surv_a = lambda x: ext.survival_min_random(pf_a, counts_a, x)
-            surv_b = lambda x: ext.survival_min_random(pf_b, counts_b, x)
-        else:
-            cdf_a = lambda x: ext.cdf_max_random(pf_a, counts_a, x)
-            cdf_b = lambda x: ext.cdf_max_random(pf_b, counts_b, x)
-            surv_a = lambda x: ext.survival_max_random(pf_a, counts_a, x)
-            surv_b = lambda x: ext.survival_max_random(pf_b, counts_b, x)
-        rh_a = lambda x: ext.reversed_hazard_random(pf_a, counts_a, kind, x)
-        rh_b = lambda x: ext.reversed_hazard_random(pf_b, counts_b, kind, x)
-
-    if theorem_id in _RH_KIND:
-        return verify_rh(cdf_a, cdf_b, grid, tol=tol, rh_a=rh_a, rh_b=rh_b)
-    return verify_st(surv_a, surv_b, grid, tol=tol)
+    if spec.order == "rh":
+        cdf = ext.cdf_min_random if spec.kind is _MIN else ext.cdf_max_random
+        rh_a, rh_b = pair(ext.reversed_hazard_random, spec.kind)
+        return verify_rh(*pair(cdf), grid, tol=inst.tol, rh_a=rh_a, rh_b=rh_b)
+    surv = ext.survival_min_random if spec.kind is _MIN else ext.survival_max_random
+    return verify_st(*pair(surv), grid, tol=inst.tol)
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return np.sort(np.concatenate([grid, mids]))
+    return np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
 
 
 def audit(
@@ -373,192 +453,46 @@ def audit(
 ) -> TheoremAudit:
     """Audit one ordering theorem on a concrete instance.
 
-    Every hypothesis of the named theorem is evaluated numerically; then the
-    conclusion is checked with :func:`verify_st` or :func:`verify_rh` on the
-    appropriate extreme-claim curves.
+    Every hypothesis that ``THEOREMS`` lists for the theorem is evaluated
+    numerically; then the conclusion is checked with :func:`verify_st` or
+    :func:`verify_rh` on the appropriate extreme-claim curves.
     """
+    spec = THEOREMS.get(theorem_id)
+    if spec is None:
+        raise DomainError(f"unknown theorem id {theorem_id}")
     pf_a, pf_b = portfolio_a, portfolio_b
     if pf_a.n != pf_b.n:
         raise DomainError("portfolios must have equal size")
     if pf_a.family.name != pf_b.family.name:
         raise DomainError("portfolios must share one severity family")
-    if theorem_id in _NEEDS_COUNTS:
+    if spec.random_n:
         if counts_a is None or counts_b is None:
             raise DomainError(f"{theorem_id.value} requires both count distributions")
         ext._check_counts(pf_a, counts_a)
         ext._check_counts(pf_b, counts_b)
-    if theorem_id in _NEEDS_EQUAL_COUNTS and not _counts_equal(counts_a, counts_b):
-        raise DomainError(f"{theorem_id.value} requires identically distributed counts")
-    if theorem_id in _NEEDS_EQUAL_P and not np.allclose(pf_a.p, pf_b.p, atol=1e-12):
-        raise DomainError(f"{theorem_id.value} requires equal occurrence-probability vectors")
-    if theorem_id in _NEEDS_EQUAL_ALPHA and not np.allclose(pf_a.alpha, pf_b.alpha, atol=1e-12):
-        raise DomainError(f"{theorem_id.value} requires equal severity-parameter vectors")
+    if spec.equal == "counts":
+        same = np.array_equal(counts_a.support, counts_b.support) and np.allclose(
+            counts_a.weights, counts_b.weights, atol=1e-12)
+    else:
+        same = spec.equal is None or np.allclose(
+            getattr(pf_a, spec.equal), getattr(pf_b, spec.equal), atol=1e-12)
+    if not same:
+        raise DomainError(f"{theorem_id.value} requires {_EQUAL[spec.equal]}")
 
     if grid is None:
-        kind = ExtremeKind.MIN if theorem_id in _MIN_KIND else ExtremeKind.MAX
-        cts = [counts_a or ClaimCountDistribution.degenerate(pf_a.n),
-               counts_b or ClaimCountDistribution.degenerate(pf_b.n)]
-        grid = ext.auto_x_grid([pf_a, pf_b], cts, kind, points=800)
+        deg = ClaimCountDistribution.degenerate(pf_a.n)
+        grid = ext.auto_x_grid([pf_a, pf_b], [counts_a or deg, counts_b or deg], spec.kind,
+                               points=800)
     grid = np.asarray(grid, dtype=float)
 
     agrid, xgrid, pgrid = _reg_grids(pf_a, pf_b, grid)
     reg = check_regularity(pf_a.family, pf_a.psi, agrid, xgrid, tol=reg_tol, p_grid=pgrid)
-    A, B = pf_a.param_matrix(), pf_b.param_matrix()
-    pre: List[Precondition] = []
+    inst = SimpleNamespace(pf_a=pf_a, pf_b=pf_b, counts_a=counts_a, counts_b=counts_b,
+                           A=pf_a.param_matrix(), B=pf_b.param_matrix(), grid=grid,
+                           xgrid=xgrid, tol=tol, reg_tol=reg_tol, reg=reg)
+    pre = [_precondition(name, inst) for name in spec.preconditions]
 
-    def add(name, ok, evidence=""):
-        pre.append(Precondition(name, bool(ok), evidence))
-
-    def add_check(name, check):
-        add(name, check.holds, _fmt(check))
-
-    def add_mn():
-        add("(psi(p), alpha) in M_n", maj.in_Mn(A))
-        add("(psi(p*), beta) in M_n", maj.in_Mn(B))
-
-    def add_counts_st():
-        add("N_1 <=_st N_2", ext.counts_st_leq(counts_a, counts_b))
-
-    def add_row_weak():
-        rw = maj.row_weakly_majorizes(A, B)
-        add("A row-weakly majorizes B",
-            rw.holds, f"psi row {rw.psi_row}, alpha row {rw.alpha_row}")
-
-    tid = theorem_id
-    if tid is TheoremId.ST_MIN_ALPHA:
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival log-convex in alpha", reg.logconvex_in_alpha)
-        add_mn()
-        add("alpha weakly supermajorizes beta", maj.weakly_supermajorizes(pf_a.alpha, pf_b.alpha))
-    elif tid is TheoremId.ST_MIN_PSI:
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi log-convex", reg.psi_logconvex)
-        add_mn()
-        add("psi(p) weakly supermajorizes psi(p*)",
-            maj.weakly_supermajorizes(A.row_psi, B.row_psi))
-    elif tid is TheoremId.ST_MIN_RANDOM:
-        add_counts_st()
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival log-convex in alpha", reg.logconvex_in_alpha)
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi log-convex", reg.psi_logconvex)
-        add_mn()
-        add_row_weak()
-    elif tid in (TheoremId.ST_MAX_FIXED, TheoremId.ST_MAX_RANDOM):
-        if tid is TheoremId.ST_MAX_RANDOM:
-            add_counts_st()
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival convex in alpha", reg.convex_in_alpha)
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi convex", reg.psi_convex)
-        add_mn()
-        add_row_weak()
-    elif tid in (TheoremId.ST_MAX_KWG, TheoremId.ST_MAX_SCALE, TheoremId.ST_MAX_PHR):
-        wanted = {
-            TheoremId.ST_MAX_KWG: "kumaraswamy_g",
-            TheoremId.ST_MAX_SCALE: "scale",
-            TheoremId.ST_MAX_PHR: "proportional_hazard",
-        }[tid]
-        add(f"family is {wanted}", pf_a.family.name == wanted)
-        if tid is TheoremId.ST_MAX_SCALE:
-            if hasattr(pf_a.family, "baseline"):
-                dens = np.asarray(pf_a.family.baseline.pdf(xgrid), dtype=float)
-                add("baseline density decreasing", bool(np.all(np.diff(dens) <= reg_tol)))
-            else:
-                add("baseline density decreasing", False, "family has no baseline")
-        add_counts_st()
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival convex in alpha", reg.convex_in_alpha)
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi convex", reg.psi_convex)
-        add_mn()
-        add_row_weak()
-    elif tid in (TheoremId.ST_MAX_CHAIN, TheoremId.ST_MAX_SCALE_CHAIN):
-        if tid is TheoremId.ST_MAX_SCALE_CHAIN:
-            add("family is scale", pf_a.family.name == "scale")
-            if hasattr(pf_a.family, "baseline"):
-                dens = np.asarray(pf_a.family.baseline.pdf(xgrid), dtype=float)
-                add("baseline density decreasing", bool(np.all(np.diff(dens) <= reg_tol)))
-            else:
-                add("baseline density decreasing", False, "family has no baseline")
-        add_counts_st()
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival convex in alpha", reg.convex_in_alpha)
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi convex", reg.psi_convex)
-        add_mn()
-        ds = maj.chain_majorizes_doubly_stochastic(A, B)
-        add("B = A P for doubly stochastic P", ds.feasible,
-            "necessary condition for a T-transform chain factorization")
-    elif tid is TheoremId.RH_MAX_ALPHA:
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival log-convex in alpha", reg.logconvex_in_alpha)
-        add_check("hazard decreasing in alpha", reg.hazard_decreasing_in_alpha)
-        add_check("hazard convex in alpha", reg.hazard_convex_in_alpha)
-        add_mn()
-        add("alpha weakly supermajorizes beta", maj.weakly_supermajorizes(pf_a.alpha, pf_b.alpha))
-    elif tid is TheoremId.RH_MAX_PSI:
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi log-convex", reg.psi_logconvex)
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("hazard decreasing in alpha", reg.hazard_decreasing_in_alpha)
-        add_mn()
-        add("psi(p) weakly supermajorizes psi(p*)",
-            maj.weakly_supermajorizes(A.row_psi, B.row_psi))
-    elif tid is TheoremId.RH_MAX_RANDOM:
-        add("alpha_n >= beta_n", pf_a.alpha[-1] >= pf_b.alpha[-1] - 1e-12)
-        add("p_n <= p*_n", pf_a.p[-1] <= pf_b.p[-1] + 1e-12)
-        add_check("psi decreasing", reg.psi_decreasing)
-        add_check("psi log-convex", reg.psi_logconvex)
-        add_check("survival decreasing in alpha", reg.decreasing_in_alpha)
-        add_check("survival log-convex in alpha", reg.logconvex_in_alpha)
-        add_check("hazard decreasing in alpha", reg.hazard_decreasing_in_alpha)
-        add_check("hazard convex in alpha", reg.hazard_convex_in_alpha)
-        add_mn()
-        add_row_weak()
-    elif tid is TheoremId.RH_MIN_ALPHA:
-        add_check("CDF increasing in alpha (survival decreasing)", reg.decreasing_in_alpha)
-        add_check("CDF log-convex in alpha", reg.logconvex_in_alpha_of_F)
-        add_check("hazard convex in alpha", reg.hazard_convex_in_alpha)
-        add_mn()
-        add("alpha majorizes beta", maj.majorizes(pf_a.alpha, pf_b.alpha))
-    elif tid is TheoremId.RH_MIN_PSI:
-        add_check("psi increasing", reg.psi_increasing)
-        add_check("psi log-convex", reg.psi_logconvex)
-        add_mn()
-        add("psi(p) majorizes psi(p*)", maj.majorizes(A.row_psi, B.row_psi))
-    elif tid is TheoremId.RH_MIN_RANDOM:
-        add_check("psi increasing", reg.psi_increasing)
-        add_check("psi log-convex", reg.psi_logconvex)
-        add_check("CDF log-convex in alpha", reg.logconvex_in_alpha_of_F)
-        add_check("hazard convex in alpha", reg.hazard_convex_in_alpha)
-        add_mn()
-        rm = maj.row_majorizes(A, B)
-        add("A row-majorizes B", rm.holds, f"psi row {rm.psi_row}, alpha row {rm.alpha_row}")
-    elif tid is TheoremId.RH_MIN_PRESERVE:
-        # the preservation result decomposes into two monotonicity conditions
-        # in m plus the fixed-n reversed-hazard comparison
-        ms = [int(m) for m in counts_a.support]
-        xs = grid[grid > 0][:: max(1, grid.size // 50)]
-        rh_b_curves = np.array([ext.reversed_hazard_min_fixed(pf_b, m, xs) for m in ms])
-        add("reversed hazard of min increasing in m",
-            bool(np.all(np.diff(rh_b_curves, axis=0) >= -tol)))
-        ratios = np.array(
-            [ext.cdf_min_fixed(pf_a, m, xs) / ext.cdf_min_fixed(pf_b, m, xs) for m in ms]
-        )
-        add("CDF ratio of min increasing in m",
-            bool(np.all(np.diff(ratios, axis=0) >= -tol)))
-        fixed = verify_rh(
-            lambda x: ext.cdf_min_fixed(pf_a, ms[-1], x),
-            lambda x: ext.cdf_min_fixed(pf_b, ms[-1], x),
-            grid, tol=tol,
-        )
-        add("fixed-n reversed hazard order holds", fixed.holds, f"margin {fixed.margin:.3e}")
-    else:  # pragma: no cover
-        raise DomainError(f"unknown theorem id {theorem_id}")
-
-    conclusion = _conclusion(tid, pf_a, pf_b, counts_a, counts_b, grid, tol)
+    conclusion = _conclusion(spec, inst, grid)
     all_pre = all(p.satisfied for p in pre)
     if conclusion.holds:
         classification = CONFIRMED if all_pre else HYP_VIOLATED_CONCLUSION_HOLDS
@@ -566,11 +500,6 @@ def audit(
         classification = HYP_VIOLATED_CONCLUSION_FAILS
     else:
         # re-check at doubled resolution before reporting a counterexample
-        recheck = _conclusion(tid, pf_a, pf_b, counts_a, counts_b, _refine(grid), tol)
-        if recheck.holds:
-            conclusion = recheck
-            classification = CONFIRMED
-        else:
-            conclusion = recheck
-            classification = POTENTIAL_COUNTEREXAMPLE
-    return TheoremAudit(tid, pre, conclusion, classification)
+        conclusion = _conclusion(spec, inst, _refine(grid))
+        classification = CONFIRMED if conclusion.holds else POTENTIAL_COUNTEREXAMPLE
+    return TheoremAudit(theorem_id, pre, conclusion, classification)

@@ -91,13 +91,6 @@ class SeverityFamily:
             raise SingularityError("CDF is 0; reversed hazard undefined")
         return _as_float(self.density(x, alpha) / c)
 
-    def sample(self, rng: np.random.Generator, alpha, size):
-        """Draw by inverting the survival function at uniform variates."""
-        u = rng.random(size)
-        # u == 0 would map to +inf; the open interval is a.s. sufficient
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-        return self.inverse_survival(u, alpha)
-
 
 class Exponential(SeverityFamily):
     """F-bar(x; alpha) = exp(-alpha x); alpha is the rate."""
@@ -141,6 +134,12 @@ class WeibullRate(SeverityFamily):
         with np.errstate(divide="ignore", invalid="ignore"):
             dxa = self.shape * np.power(x, self.shape - 1.0)
         return _as_float(alpha * dxa * np.exp(-alpha * xa))
+
+    def hazard(self, x, alpha):
+        """alpha * shape * x**(shape - 1), finite where the survival underflows."""
+        x, alpha = _validate_args(x, alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _as_float(alpha * self.shape * np.power(x, self.shape - 1.0))
 
     def inverse_survival(self, u, alpha):
         return _as_float(np.power(-np.log(u) / alpha, 1.0 / self.shape))
@@ -217,6 +216,14 @@ class PowerGeneralizedWeibull(SeverityFamily):
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = (1.0 / alpha) * np.power(base, 1.0 / alpha - 1.0) * self.c * np.power(x, self.c - 1.0)
         return _as_float(np.exp(1.0 - np.power(base, 1.0 / alpha)) * inner)
+
+    def hazard(self, x, alpha):
+        """(c / alpha) * x**(c - 1) * (1 + x**c)**(1/alpha - 1), finite where the
+        survival underflows."""
+        x, alpha = _validate_args(x, alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _as_float((self.c / alpha) * np.power(x, self.c - 1.0)
+                             * np.power(1.0 + np.power(x, self.c), 1.0 / alpha - 1.0))
 
     def inverse_survival(self, u, alpha):
         return _as_float(np.power(np.power(1.0 - np.log(u), alpha) - 1.0, 1.0 / self.c))
@@ -489,7 +496,6 @@ class RegularityReport:
     psi_increasing: HypothesisCheck
     psi_convex: HypothesisCheck
     psi_logconvex: HypothesisCheck
-    psi_inverse_logconvex: HypothesisCheck
     alpha_grid: np.ndarray
     x_grid: np.ndarray
     p_grid: np.ndarray
@@ -570,9 +576,6 @@ def check_regularity(
         raise EvaluationError("log-survival is non-finite on the grid")
 
     psi_vals = np.asarray(psi(pgrid), dtype=float)
-    order = np.argsort(psi_vals)
-    v_sorted = psi_vals[order]
-    inv_sorted = np.asarray(psi.inverse(v_sorted), dtype=float)
 
     return RegularityReport(
         decreasing_in_alpha=_monotone_check(S, axis=1, decreasing=True, tol=tol),
@@ -585,7 +588,6 @@ def check_regularity(
         psi_increasing=_monotone_check(psi_vals, axis=0, decreasing=False, tol=tol),
         psi_convex=_convex_check(pgrid, psi_vals, axis=0, tol=tol),
         psi_logconvex=_convex_check(pgrid, np.log(psi_vals), axis=0, tol=tol),
-        psi_inverse_logconvex=_convex_check(v_sorted, np.log(inv_sorted), axis=0, tol=tol),
         alpha_grid=agrid,
         x_grid=xgrid,
         p_grid=pgrid,

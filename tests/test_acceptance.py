@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from claimorder.cases import get_case
-from claimorder.cli import _bisect_sign_change
 from claimorder.extremes import (
     ExtremeKind,
     Portfolio,
@@ -39,6 +38,7 @@ from claimorder.majorization import (
 from claimorder.ordercheck import (
     POTENTIAL_COUNTEREXAMPLE,
     TheoremId,
+    _bisect_root,
     audit,
     schur_test,
 )
@@ -95,7 +95,7 @@ def test_criterion_2_first_counterexample_sign_change():
     lo = float(x[flip])
     hi = float(x[nz[np.searchsorted(nz, flip) + 1]])
     fn = lambda t: float(case.delta(np.array([t]))[0])
-    x_w = _bisect_sign_change(fn, lo, hi, width=1e-6)
+    x_w = _bisect_root(fn, lo, hi, width=1e-6)
     crossing_confirmed = np.sign(fn(x_w - 1e-6)) != np.sign(fn(x_w + 1e-6))
     elapsed = time.perf_counter() - t0
     ok = has_neg and has_pos and crossing_confirmed and elapsed < 5.0

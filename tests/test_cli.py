@@ -98,6 +98,25 @@ class TestUsageErrors:
     def test_unreadable_file(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "missing.yaml")]) == 1
 
+    @pytest.mark.parametrize("command,grid,field", [
+        ("audit", "{points: 400, x_min: 0}", "grid.x_min"),
+        ("audit", "{points: 400, x_max: 0}", "grid.x_max"),
+        ("audit", "{points: 400, x_min: 5, x_max: 1}", "grid.x_min"),
+        ("simulate", "{points: 400, x_min: -1}", "grid.x_min"),
+    ])
+    def test_bad_grid_edges_are_addressed(self, tmp_path, capsys, command, grid, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(GOOD_SPEC.replace("grid: {points: 400}", f"grid: {grid}"))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    def test_resolved_x_min_above_auto_x_max_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(GOOD_SPEC.replace("grid: {points: 400}", "grid: {points: 400, x_min: 100}"))
+        assert main(["audit", str(path)]) == 1
+        assert "x_min" in capsys.readouterr().err
+
     def test_unknown_theorem_id(self, spec_file, capsys):
         assert main(["audit", spec_file, "--theorem", "NOT_A_THEOREM"]) == 1
         assert "unknown theorem id" in capsys.readouterr().err

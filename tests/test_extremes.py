@@ -191,6 +191,16 @@ class TestRandomExtremes:
         mix = survival_min_random(self.pf, self.counts, xs)
         assert np.all(mix >= mins - 1e-12) and np.all(mix <= maxs + 1e-12)
 
+    def test_curves_stay_finite_where_survival_underflows(self):
+        # density / survival would be 0 / 0 at these points
+        for family, alpha, x in ((PowerGeneralizedWeibull(2.0), 0.5, 10.0),
+                                 (WeibullRate(1.7), 3.0, 30.0)):
+            assert family.survival(x, alpha) == 0.0
+            pf = Portfolio(family, neg_log(), np.array([0.3, 0.5]), np.array([alpha, alpha]))
+            xs = np.array([0.5, x])
+            for curve in (density_max_fixed, reversed_hazard_min_fixed):
+                assert np.all(np.isfinite(curve(pf, 2, xs))), (family.name, curve.__name__)
+
     def test_support_exceeding_portfolio(self):
         with pytest.raises(DomainError):
             survival_min_random(self.pf, poisson_counts(1.0, [4, 5]), 1.0)
@@ -329,6 +339,19 @@ class TestPrefixKernel:
             rows = np.array([method(xs, a) for a in alpha])
             assert block.shape == rows.shape
             assert np.array_equal(block, rows), (name, method.__name__)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+    def test_degenerate_random_curves_equal_fixed_bit_for_bit(self, name):
+        # fixed-N audits read the random-N curves at N = n
+        rng = np.random.default_rng(5)
+        pf = Portfolio(SHIPPED_FAMILIES[name], neg_log(), rng.uniform(0.05, 0.9, 50),
+                       rng.uniform(0.5, 3.0, 50))
+        xs = np.geomspace(1e-3, 8.0, 301)
+        for m in (1, 3, 5, 50):
+            deg = ClaimCountDistribution.degenerate(m)
+            for key, fn in _RANDOM.items():
+                got, want = fn(pf, deg, xs), _FIXED[key](pf, m, xs)
+                assert got.tobytes() == want.tobytes(), (name, m, key)
 
     @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
     def test_n_in_the_hundreds_stays_finite_and_in_unit_interval(self, kind):

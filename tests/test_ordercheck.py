@@ -271,3 +271,62 @@ class TestAudit:
             HYP_VIOLATED_CONCLUSION_HOLDS,
             POTENTIAL_COUNTEREXAMPLE,
         )
+
+
+_M_N = ["(psi(p), alpha) in M_n", "(psi(p*), beta) in M_n"]
+_ST_MAX = ["survival decreasing in alpha", "survival convex in alpha", "psi decreasing",
+           "psi convex", *_M_N]
+PRECONDITION_NAMES = {
+    TheoremId.ST_MIN_ALPHA: ["survival decreasing in alpha", "survival log-convex in alpha",
+                             *_M_N, "alpha weakly supermajorizes beta"],
+    TheoremId.ST_MIN_PSI: ["psi decreasing", "psi log-convex", *_M_N,
+                           "psi(p) weakly supermajorizes psi(p*)"],
+    TheoremId.ST_MIN_RANDOM: ["N_1 <=_st N_2", "survival decreasing in alpha",
+                              "survival log-convex in alpha", "psi decreasing", "psi log-convex",
+                              *_M_N, "A row-weakly majorizes B"],
+    TheoremId.ST_MAX_FIXED: [*_ST_MAX, "A row-weakly majorizes B"],
+    TheoremId.ST_MAX_RANDOM: ["N_1 <=_st N_2", *_ST_MAX, "A row-weakly majorizes B"],
+    TheoremId.ST_MAX_KWG: ["family is kumaraswamy_g", "N_1 <=_st N_2", *_ST_MAX,
+                           "A row-weakly majorizes B"],
+    TheoremId.ST_MAX_SCALE: ["family is scale", "baseline density decreasing", "N_1 <=_st N_2",
+                             *_ST_MAX, "A row-weakly majorizes B"],
+    TheoremId.ST_MAX_PHR: ["family is proportional_hazard", "N_1 <=_st N_2", *_ST_MAX,
+                           "A row-weakly majorizes B"],
+    TheoremId.ST_MAX_CHAIN: ["N_1 <=_st N_2", *_ST_MAX, "B = A P for doubly stochastic P"],
+    TheoremId.ST_MAX_SCALE_CHAIN: ["family is scale", "baseline density decreasing",
+                                   "N_1 <=_st N_2", *_ST_MAX, "B = A P for doubly stochastic P"],
+    TheoremId.RH_MAX_ALPHA: ["psi decreasing", "survival decreasing in alpha",
+                             "survival log-convex in alpha", "hazard decreasing in alpha",
+                             "hazard convex in alpha", *_M_N, "alpha weakly supermajorizes beta"],
+    TheoremId.RH_MAX_PSI: ["psi decreasing", "psi log-convex", "survival decreasing in alpha",
+                           "hazard decreasing in alpha", *_M_N,
+                           "psi(p) weakly supermajorizes psi(p*)"],
+    TheoremId.RH_MAX_RANDOM: ["alpha_n >= beta_n", "p_n <= p*_n", "psi decreasing",
+                              "psi log-convex", "survival decreasing in alpha",
+                              "survival log-convex in alpha", "hazard decreasing in alpha",
+                              "hazard convex in alpha", *_M_N, "A row-weakly majorizes B"],
+    TheoremId.RH_MIN_ALPHA: ["CDF increasing in alpha (survival decreasing)",
+                             "CDF log-convex in alpha", "hazard convex in alpha", *_M_N,
+                             "alpha majorizes beta"],
+    TheoremId.RH_MIN_PSI: ["psi increasing", "psi log-convex", *_M_N, "psi(p) majorizes psi(p*)"],
+    TheoremId.RH_MIN_RANDOM: ["psi increasing", "psi log-convex", "CDF log-convex in alpha",
+                              "hazard convex in alpha", *_M_N, "A row-majorizes B"],
+    TheoremId.RH_MIN_PRESERVE: ["reversed hazard of min increasing in m",
+                                "CDF ratio of min increasing in m",
+                                "fixed-n reversed hazard order holds"],
+}
+
+
+@pytest.mark.parametrize("tid", list(TheoremId), ids=lambda t: t.value)
+def test_precondition_names_and_order_per_theorem(tid):
+    # equal-p variant for the *_ALPHA results, equal-alpha for *_PSI, and one
+    # count distribution on both sides so the equal-counts results apply
+    p, q = [0.2, 0.25, 0.3], [0.15, 0.2, 0.25]
+    alpha, beta = [3.0, 2.5, 2.0], [3.5, 3.0, 2.5]
+    if tid.value.endswith("_ALPHA"):
+        q = p
+    elif tid.value.endswith("_PSI"):
+        beta = alpha
+    counts = poisson_counts(1.0, [2, 3])
+    result = audit(tid, exp_portfolio(p, alpha), exp_portfolio(q, beta), counts, counts)
+    assert [pre.name for pre in result.preconditions] == PRECONDITION_NAMES[tid]

@@ -80,6 +80,17 @@ class TestDerivedFunctions:
         dens = family.density(xs, alpha)
         assert np.allclose(dens, family.hazard(xs, alpha) * family.survival(xs, alpha), rtol=1e-9)
 
+    @pytest.mark.parametrize("family", [WeibullRate(shape=1.7), PowerGeneralizedWeibull(c=2.0),
+                                        WeibullRate(shape=0.6), PowerGeneralizedWeibull(c=0.7)])
+    def test_closed_form_hazard_matches_density_over_survival(self, family):
+        xs = np.geomspace(1e-3, 60.0, 400)
+        for alpha in (0.3, 0.5, 1.0, 3.0, 6.0):
+            s = family.survival(xs, alpha)
+            ok = s >= 1e-300
+            ref = family.density(xs, alpha)[ok] / s[ok]
+            assert np.allclose(family.hazard(xs, alpha)[ok], ref, rtol=1e-12, atol=0.0)
+            assert np.all(np.isfinite(family.hazard(xs, alpha)))
+
     @pytest.mark.parametrize(
         "family,alpha",
         [

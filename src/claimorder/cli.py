@@ -18,15 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import yaml
 
 from . import extremes as ext
 from . import majorization as maj
-from .cases import CASE_NAMES, get_case
+from .cases import CASE_NAMES, InstanceSpec, get_case
 from .errors import ClaimOrderError, DomainError, SpecError
 from .extremes import ClaimCountDistribution, ExtremeKind, Portfolio, poisson_counts
 from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, _bisect_root, audit, verify_rh
@@ -57,32 +56,6 @@ EXIT_NUMERICAL = 3
 
 # ---------------------------------------------------------------------------
 # instance specification files
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A parsed instance file: two portfolios, two counts, grid and options."""
-
-    portfolio_a: Portfolio
-    portfolio_b: Portfolio
-    counts_a: ClaimCountDistribution
-    counts_b: ClaimCountDistribution
-    kind: ExtremeKind
-    points: int
-    x_min: Optional[float]
-    x_max: Optional[float]
-    tolerance: float
-    seed: int
-
-    def grid(self) -> np.ndarray:
-        return ext.auto_x_grid(
-            [self.portfolio_a, self.portfolio_b],
-            [self.counts_a, self.counts_b],
-            self.kind,
-            points=self.points,
-            x_min=self.x_min,
-            x_max=self.x_max,
-        )
 
 
 def _spec_error(path: str, message: str) -> SpecError:
@@ -314,7 +287,7 @@ def cmd_reproduce(args) -> int:
         verdict = _ratio_verdict(case, x, args.tol)
     else:
         verdict = _difference_verdict(case, x, delta, args.tol)
-    print(f"{case.name}: {verdict}")
+    print(f"{args.case}: {verdict}")
     return EXIT_OK
 
 

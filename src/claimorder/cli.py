@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import majorization as maj
 from .cases import CASE_NAMES, InstanceSpec, get_case
 from .errors import ClaimOrderError, DomainError, SpecError
 from .extremes import ClaimCountDistribution, ExtremeKind, Portfolio, poisson_counts
-from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, _bisect_root, audit, verify_rh
+from .ordercheck import POTENTIAL_COUNTEREXAMPLE, THEOREMS, TheoremId, _bisect_root, audit, verify_rh
 from .severity import (
     Exponential,
     Gamma,
@@ -321,14 +322,20 @@ def cmd_audit(args) -> int:
                 f"unknown theorem id {args.theorem!r}; choose from "
                 + ", ".join(t.value for t in TheoremId) + " or 'all'"
             )
-    grid = spec.grid()
+    # a fixed-N theorem compares the extremes at N = n, so its grid is built for them
+    fixed_n = replace(spec, counts_a=ClaimCountDistribution.degenerate(spec.portfolio_a.n),
+                      counts_b=ClaimCountDistribution.degenerate(spec.portfolio_b.n))
+    grids = {}
     reports = []
     for tid in ids:
+        random_n = THEOREMS[tid].random_n
+        if random_n not in grids:
+            grids[random_n] = (spec if random_n else fixed_n).grid()
         try:
             result = audit(
                 tid, spec.portfolio_a, spec.portfolio_b,
                 spec.counts_a, spec.counts_b,
-                grid=grid, tol=spec.tolerance,
+                grid=grids[random_n], tol=spec.tolerance,
             )
         except DomainError as exc:
             if args.theorem != "all":
@@ -398,7 +405,8 @@ def cmd_majorize(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = load_instance_spec(args.spec)
-    config = SimulationConfig(samples=args.samples, seed=args.seed)
+    seed = spec.seed if args.seed is None else args.seed
+    config = SimulationConfig(samples=args.samples, seed=seed)
     grid = spec.grid()
     exit_code = EXIT_OK
     curves = {}
@@ -469,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte Carlo cross-check of analytic curves")
     sim.add_argument("spec", help="instance YAML file")
     sim.add_argument("--samples", type=int, default=100000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=int, default=None,
+                     help="sampler seed (default: the instance file's seed)")
     sim.add_argument("--out", help="CSV overlay output path")
     sim.set_defaults(fn=cmd_simulate)
     return parser

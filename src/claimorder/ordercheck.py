@@ -83,8 +83,9 @@ def _bisect_root(fn, lo, hi, width=1e-6, max_iter=200):
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0) == (flo > 0):
-            lo, flo = mid, fn(mid)
+        fmid = fn(mid)
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -420,14 +421,10 @@ def _reg_grids(pf_a: Portfolio, pf_b: Portfolio, grid: np.ndarray):
 
 
 def _conclusion(spec: TheoremSpec, inst, grid: np.ndarray) -> OrderVerdict:
-    """Check the conclusion on ``grid``.  A fixed-N result reads the random-N
-    curves at N = n, whose survival and CDF equal the fixed-n ones bit for bit."""
-    ca, cb = (inst.counts_a, inst.counts_b) if spec.random_n else (
-        ClaimCountDistribution.degenerate(inst.pf_a.n),) * 2
-
+    """Check the conclusion on ``grid``."""
     def pair(curve, *args):
-        return (lambda x: curve(inst.pf_a, ca, *args, x),
-                lambda x: curve(inst.pf_b, cb, *args, x))
+        return (lambda x: curve(inst.pf_a, inst.counts_a, *args, x),
+                lambda x: curve(inst.pf_b, inst.counts_b, *args, x))
 
     if spec.order == "rh":
         cdf = ext.cdf_min_random if spec.kind is _MIN else ext.cdf_max_random
@@ -479,14 +476,19 @@ def audit(
     if not same:
         raise DomainError(f"{theorem_id.value} requires {_EQUAL[spec.equal]}")
 
+    if not spec.random_n:
+        # a fixed-N result is checked on the random-N curves at N = n, whose
+        # survival and CDF equal the fixed-n ones bit for bit, and on a grid
+        # built for them
+        counts_a = counts_b = ClaimCountDistribution.degenerate(pf_a.n)
     if grid is None:
-        deg = ClaimCountDistribution.degenerate(pf_a.n)
-        grid = ext.auto_x_grid([pf_a, pf_b], [counts_a or deg, counts_b or deg], spec.kind,
-                               points=800)
+        grid = ext.auto_x_grid([pf_a, pf_b], [counts_a, counts_b], spec.kind, points=800)
     grid = np.asarray(grid, dtype=float)
 
     agrid, xgrid, pgrid = _reg_grids(pf_a, pf_b, grid)
-    reg = check_regularity(pf_a.family, pf_a.psi, agrid, xgrid, tol=reg_tol, p_grid=pgrid)
+    reg = None
+    if any(name in _REGULARITY for name in spec.preconditions):
+        reg = check_regularity(pf_a.family, pf_a.psi, agrid, xgrid, tol=reg_tol, p_grid=pgrid)
     inst = SimpleNamespace(pf_a=pf_a, pf_b=pf_b, counts_a=counts_a, counts_b=counts_b,
                            A=pf_a.param_matrix(), B=pf_b.param_matrix(), grid=grid,
                            xgrid=xgrid, tol=tol, reg_tol=reg_tol, reg=reg)

@@ -55,6 +55,10 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "outside (0, 1)" in err
 
+    def test_literal_mode_names_the_requested_case(self, capsys):
+        assert main(["reproduce", "cex3_3", "--literal"]) == 1
+        assert "case cex3_3:" in capsys.readouterr().err
+
     def test_csv_output_is_byte_identical_across_runs(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["reproduce", "ex3_1", "--points", "200", "--out", str(p1)]) == 0
@@ -139,6 +143,38 @@ class TestAudit:
         assert r["conclusion"]["holds"] is True
         assert r["classification"] == "confirmed"
 
+    def test_fixed_n_theorems_use_a_grid_built_for_n(self, tmp_path, capsys):
+        # with N = 1 the auto grid ends at x = 8, where the n = 5 maximum's CDF
+        # is only 0.991; a fixed-N theorem compares the extremes at N = n
+        path = tmp_path / "fixed.yaml"
+        path.write_text("""
+portfolio_a:
+  family: {kind: exponential}
+  psi: {kind: neg_log}
+  p: [0.5, 0.4, 0.3, 0.2, 0.1]
+  alpha: [3.0, 2.5, 2.0, 1.0, 0.3]
+portfolio_b:
+  family: {kind: exponential}
+  psi: {kind: neg_log}
+  p: [0.5, 0.4, 0.3, 0.2, 0.1]
+  alpha: [3.0, 2.5, 2.0, 1.2, 0.4]
+counts_a: {kind: degenerate, m: 1}
+counts_b: {kind: degenerate, m: 1}
+kind: max
+grid: {points: 400}
+""")
+        out = tmp_path / "report.json"
+        assert main(["audit", str(path), "--out", str(out)]) == 0
+        grids = {r["theorem_id"]: r["conclusion"]["grid_spec"] for r in json.loads(out.read_text())}
+        assert grids["ST_MAX_FIXED"] == "400 points on [0.0064, 64]"
+        assert grids["RH_MAX_ALPHA"] == "400 points on [0.0064, 64]"
+        assert grids["ST_MAX_RANDOM"] == "400 points on [0.0008, 8]"
+        # an explicit edge is honoured for both kinds of theorem
+        path.write_text(path.read_text().replace("{points: 400}", "{points: 400, x_max: 30}"))
+        assert main(["audit", str(path), "--out", str(out)]) == 0
+        grids = {r["theorem_id"]: r["conclusion"]["grid_spec"] for r in json.loads(out.read_text())}
+        assert grids["ST_MAX_FIXED"] == grids["ST_MAX_RANDOM"] == "400 points on [0.003, 30]"
+
     def test_all_skips_inapplicable(self, spec_file, capsys):
         assert main(["audit", spec_file]) == 0
         out = capsys.readouterr().out
@@ -168,3 +204,11 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,value_a,value_b,delta"
         assert len(lines) == 401
+
+    def test_seed_defaults_to_the_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "seeded.yaml"
+        path.write_text(GOOD_SPEC + "seed: 7\n")
+        assert main(["simulate", str(path), "--samples", "2000"]) == 0
+        assert capsys.readouterr().out.count("2000 samples, seed 7)") == 2
+        assert main(["simulate", str(path), "--samples", "2000", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.count("2000 samples, seed 3)") == 2

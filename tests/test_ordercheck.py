@@ -18,6 +18,7 @@ from claimorder.ordercheck import (
     HYP_VIOLATED_CONCLUSION_HOLDS,
     POTENTIAL_COUNTEREXAMPLE,
     TheoremId,
+    _bisect_root,
     audit,
     schur_test,
     verify_rh,
@@ -128,6 +129,18 @@ class TestVerifyRh:
             assert st.holds
             checked += 1
         assert checked > 10
+
+
+def test_bisect_root_evaluates_each_midpoint_once():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 0.3
+
+    assert _bisect_root(fn, 0.0, 1.0) == 0.2999997138977051
+    assert len(calls) == 21
+    assert len(set(calls)) == 21
 
 
 class TestSchur:
@@ -253,6 +266,43 @@ class TestAudit:
         assert "reversed hazard of min increasing in m" in names
         assert "CDF ratio of min increasing in m" in names
         assert result.classification != POTENTIAL_COUNTEREXAMPLE
+
+    def test_rh_min_preserve_reads_no_regularity(self, monkeypatch):
+        # none of its preconditions is a regularity field, so the check is skipped
+        def fail(*args, **kwargs):
+            raise AssertionError("check_regularity called")
+
+        monkeypatch.setattr("claimorder.ordercheck.check_regularity", fail)
+        pf_a = exp_portfolio([0.3, 0.35, 0.4], [2.0, 1.8, 1.6])
+        pf_b = exp_portfolio([0.3, 0.35, 0.4], [1.5, 1.3, 1.1])
+        counts = ClaimCountDistribution(np.array([2, 3]), np.array([0.5, 0.5]))
+        d = audit(TheoremId.RH_MIN_PRESERVE, pf_a, pf_b, counts, counts).to_dict()
+        # the report of the audit that ran the check
+        assert d["preconditions"] == [
+            {"name": "reversed hazard of min increasing in m", "satisfied": False,
+             "evidence": ""},
+            {"name": "CDF ratio of min increasing in m", "satisfied": False, "evidence": ""},
+            {"name": "fixed-n reversed hazard order holds", "satisfied": False,
+             "evidence": "margin -1.145e-04"},
+        ]
+        assert d["classification"] == HYP_VIOLATED_CONCLUSION_FAILS
+        c = d["conclusion"]
+        assert c["holds"] is False and c["grid_spec"] == "800 points on [0.0004, 4]"
+        assert c["margin"] == pytest.approx(-0.00012130783946351364, rel=1e-9)
+        assert c["witness"] == pytest.approx(
+            [0.27356465891257176, 1.008547468408451, 1.0085434855435154], rel=1e-9)
+
+    def test_fixed_n_default_grid_is_built_for_n(self):
+        # the n = 5 maximum still has CDF 0.991 at x = 8, where the grid for
+        # N = 1 ends; a fixed-N result compares the extremes at N = n
+        pf_a = exp_portfolio([0.5, 0.4, 0.3, 0.2, 0.1], [3.0, 2.5, 2.0, 1.0, 0.3])
+        pf_b = exp_portfolio([0.5, 0.4, 0.3, 0.2, 0.1], [3.0, 2.5, 2.0, 1.2, 0.4])
+        one = ClaimCountDistribution.degenerate(1)
+        fixed = audit(TheoremId.ST_MAX_FIXED, pf_a, pf_b, one, one)
+        assert fixed.conclusion.grid_spec == "800 points on [0.0064, 64]"
+        assert audit(TheoremId.ST_MAX_FIXED, pf_a, pf_b).to_dict() == fixed.to_dict()
+        random = audit(TheoremId.ST_MAX_RANDOM, pf_a, pf_b, one, one)
+        assert random.conclusion.grid_spec == "800 points on [0.0008, 8]"
 
     def test_serialization_shape(self):
         case = get_case("ex3_1")

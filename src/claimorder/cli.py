@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from . import majorization as maj
 from .cases import CASE_NAMES, InstanceSpec, get_case
 from .errors import ClaimOrderError, DomainError, SpecError
 from .extremes import ClaimCountDistribution, ExtremeKind, Portfolio, poisson_counts
-from .ordercheck import POTENTIAL_COUNTEREXAMPLE, THEOREMS, TheoremId, _bisect_root, audit, verify_rh
+from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, _bisect_root, audit, theorem_grid, verify_rh
 from .severity import (
     Exponential,
     Gamma,
@@ -322,20 +321,16 @@ def cmd_audit(args) -> int:
                 f"unknown theorem id {args.theorem!r}; choose from "
                 + ", ".join(t.value for t in TheoremId) + " or 'all'"
             )
-    # a fixed-N theorem compares the extremes at N = n, so its grid is built for them
-    fixed_n = replace(spec, counts_a=ClaimCountDistribution.degenerate(spec.portfolio_a.n),
-                      counts_b=ClaimCountDistribution.degenerate(spec.portfolio_b.n))
-    grids = {}
     reports = []
     for tid in ids:
-        random_n = THEOREMS[tid].random_n
-        if random_n not in grids:
-            grids[random_n] = (spec if random_n else fixed_n).grid()
+        # outside the try: a grid error is a usage error, never a skipped theorem
+        grid = theorem_grid(tid, spec.portfolio_a, spec.portfolio_b, spec.counts_a,
+                            spec.counts_b, spec.points, spec.x_min, spec.x_max)
         try:
             result = audit(
                 tid, spec.portfolio_a, spec.portfolio_b,
                 spec.counts_a, spec.counts_b,
-                grid=grids[random_n], tol=spec.tolerance,
+                grid=grid, tol=spec.tolerance,
             )
         except DomainError as exc:
             if args.theorem != "all":

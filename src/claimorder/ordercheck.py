@@ -32,6 +32,7 @@ __all__ = [
     "THEOREMS",
     "Precondition",
     "TheoremAudit",
+    "theorem_grid",
     "audit",
     "CONFIRMED",
     "HYP_VIOLATED_CONCLUSION_FAILS",
@@ -410,6 +411,7 @@ def _precondition(name: str, inst) -> Precondition:
 def _reg_grids(pf_a: Portfolio, pf_b: Portfolio, grid: np.ndarray):
     alphas = np.concatenate([pf_a.alpha, pf_b.alpha])
     agrid = np.linspace(0.9 * alphas.min(), 1.1 * alphas.max(), 13)
+    # x follows the conclusion grid: one grid per theorem, and no second grid rule
     xs = grid[grid > 0]
     xgrid = xs[:: max(1, xs.size // 25)]
     ps = np.concatenate([pf_a.p, pf_b.p])
@@ -428,10 +430,33 @@ def _conclusion(spec: TheoremSpec, inst, grid: np.ndarray) -> OrderVerdict:
 
     if spec.order == "rh":
         cdf = ext.cdf_min_random if spec.kind is _MIN else ext.cdf_max_random
-        rh_a, rh_b = pair(ext.reversed_hazard_random, spec.kind)
-        return verify_rh(*pair(cdf), grid, tol=inst.tol, rh_a=rh_a, rh_b=rh_b)
+        return verify_rh(*pair(cdf), grid, tol=inst.tol)
     surv = ext.survival_min_random if spec.kind is _MIN else ext.survival_max_random
     return verify_st(*pair(surv), grid, tol=inst.tol)
+
+
+def _compared_counts(theorem_id, spec, pf_a, pf_b, counts_a, counts_b):
+    """The claim counts of the extremes a theorem compares.  A fixed-N result
+    compares them at N = n, where the random-N curves equal the fixed-n ones
+    bit for bit."""
+    if not spec.random_n:
+        return ClaimCountDistribution.degenerate(pf_a.n), ClaimCountDistribution.degenerate(pf_b.n)
+    if counts_a is None or counts_b is None:
+        raise DomainError(f"{theorem_id.value} requires both count distributions")
+    ext._check_counts(pf_a, counts_a)
+    ext._check_counts(pf_b, counts_b)
+    return counts_a, counts_b
+
+
+def theorem_grid(theorem_id, portfolio_a, portfolio_b, counts_a=None, counts_b=None,
+                 points=800, x_min=None, x_max=None) -> np.ndarray:
+    """The auto x-grid of ``theorem_id``'s conclusion (see ``extremes.auto_x_grid``).
+    It spans the extreme the theorem compares, ``T_{1:N}`` or ``T_{N:N}``, at
+    ``N = n`` for a fixed-N theorem and at the given counts otherwise."""
+    spec = THEOREMS[theorem_id]
+    counts = _compared_counts(theorem_id, spec, portfolio_a, portfolio_b, counts_a, counts_b)
+    return ext.auto_x_grid([portfolio_a, portfolio_b], counts, spec.kind, points=points,
+                           x_min=x_min, x_max=x_max)
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
@@ -462,11 +487,7 @@ def audit(
         raise DomainError("portfolios must have equal size")
     if pf_a.family.name != pf_b.family.name:
         raise DomainError("portfolios must share one severity family")
-    if spec.random_n:
-        if counts_a is None or counts_b is None:
-            raise DomainError(f"{theorem_id.value} requires both count distributions")
-        ext._check_counts(pf_a, counts_a)
-        ext._check_counts(pf_b, counts_b)
+    counts_a, counts_b = _compared_counts(theorem_id, spec, pf_a, pf_b, counts_a, counts_b)
     if spec.equal == "counts":
         same = np.array_equal(counts_a.support, counts_b.support) and np.allclose(
             counts_a.weights, counts_b.weights, atol=1e-12)
@@ -476,13 +497,8 @@ def audit(
     if not same:
         raise DomainError(f"{theorem_id.value} requires {_EQUAL[spec.equal]}")
 
-    if not spec.random_n:
-        # a fixed-N result is checked on the random-N curves at N = n, whose
-        # survival and CDF equal the fixed-n ones bit for bit, and on a grid
-        # built for them
-        counts_a = counts_b = ClaimCountDistribution.degenerate(pf_a.n)
     if grid is None:
-        grid = ext.auto_x_grid([pf_a, pf_b], [counts_a, counts_b], spec.kind, points=800)
+        grid = theorem_grid(theorem_id, pf_a, pf_b, counts_a, counts_b)
     grid = np.asarray(grid, dtype=float)
 
     agrid, xgrid, pgrid = _reg_grids(pf_a, pf_b, grid)

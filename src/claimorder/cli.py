@@ -7,16 +7,20 @@ Subcommands:
 * ``majorize``  — vector/matrix majorization report with prefix-sum tables;
 * ``simulate``  — Monte Carlo cross-check of the analytic curves (KS vs DKW).
 
-Instance files are YAML; see the schema in the README.  CSV output uses the
-fixed header ``x,value_a,value_b,delta`` with 17 significant digits, so equal
-inputs produce byte-identical files.  Exit codes: 0 success, 1 usage or parse
-error, 2 potential counterexample, 3 numerical failure.
+Instance files are YAML; see the schema in the README.  An instance's ``kind``
+selects the curves that ``simulate`` checks.  ``audit`` checks each theorem on
+the grid :func:`claimorder.ordercheck.theorem_grid` builds for the extreme
+that theorem compares, so its report does not depend on ``kind``.  CSV output
+uses the fixed header ``x,value_a,value_b,delta`` with 17 significant digits,
+so equal inputs produce byte-identical files.  Exit codes: 0 success, 1 usage
+or parse error, 2 potential counterexample, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -80,8 +84,8 @@ def _get_number(mapping, key, path, default=None):
             return default
         raise _spec_error(f"{path}.{key}", "missing required field")
     value = mapping[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise _spec_error(f"{path}.{key}", f"expected a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise _spec_error(f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -93,7 +97,24 @@ def _get_vector(mapping, key, path):
         raise _spec_error(f"{path}.{key}", "expected a list of numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise _spec_error(f"{path}.{key}", "expected a non-empty flat list of numbers")
+    if not np.all(np.isfinite(arr)):
+        raise _spec_error(f"{path}.{key}", f"expected finite numbers, got {value!r}")
     return arr
+
+
+def _get_integer(mapping, key, path, default=None):
+    value = _get_number(mapping, key, path, default)
+    if value != int(value):
+        raise _spec_error(f"{path}.{key}", f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _get_integers(mapping, key, path):
+    values = _get_vector(mapping, key, path).tolist()
+    ints = [int(v) for v in values]
+    if ints != values:
+        raise _spec_error(f"{path}.{key}", f"expected integers, got {values!r}")
+    return ints
 
 
 def _build_baseline(node, path):
@@ -159,14 +180,14 @@ def _build_counts(node, path) -> ClaimCountDistribution:
     kind = _require(node, "kind", path, expected=str)
     try:
         if kind == "poisson":
-            support = [int(m) for m in _get_vector(node, "support", path)]
+            support = _get_integers(node, "support", path)
             return poisson_counts(_get_number(node, "lam", path), support)
         if kind == "explicit":
-            support = [int(m) for m in _get_vector(node, "support", path)]
+            support = _get_integers(node, "support", path)
             weights = _get_vector(node, "weights", path)
             return ClaimCountDistribution(np.asarray(support), weights)
         if kind == "degenerate":
-            return ClaimCountDistribution.degenerate(int(_get_number(node, "m", path)))
+            return ClaimCountDistribution.degenerate(_get_integer(node, "m", path))
     except DomainError as exc:
         raise _spec_error(path, str(exc))
     raise _spec_error(f"{path}.kind", f"unknown counts kind {kind!r}")
@@ -209,6 +230,10 @@ def load_instance_spec(path: str) -> InstanceSpec:
         raise _spec_error("grid.x_min", f"must lie below grid.x_max / 10 = {x_max / 10.0:g}, "
                                         f"got {x_min:g}")
 
+    tolerance = _get_number(doc, "tolerance", "<root>", default=1e-9)
+    if tolerance <= 0:
+        raise _spec_error("<root>.tolerance", f"expected a positive number, got {tolerance!r}")
+
     spec = InstanceSpec(
         portfolio_a=_build_portfolio(_require(doc, "portfolio_a", "<root>"), "portfolio_a"),
         portfolio_b=_build_portfolio(_require(doc, "portfolio_b", "<root>"), "portfolio_b"),
@@ -218,8 +243,8 @@ def load_instance_spec(path: str) -> InstanceSpec:
         points=points,
         x_min=x_min,
         x_max=x_max,
-        tolerance=_get_number(doc, "tolerance", "<root>", default=1e-9),
-        seed=int(_get_number(doc, "seed", "<root>", default=0)),
+        tolerance=tolerance,
+        seed=_get_integer(doc, "seed", "<root>", default=0),
     )
     for label, counts in (("counts_a", spec.counts_a), ("counts_b", spec.counts_b)):
         pf = spec.portfolio_a if label == "counts_a" else spec.portfolio_b

@@ -72,10 +72,11 @@ class Portfolio:
         alpha = np.asarray(self.alpha, dtype=float)
         if p.ndim != 1 or alpha.ndim != 1 or p.size != alpha.size or p.size == 0:
             raise DomainError("p and alpha must be 1-d vectors of equal positive length")
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        # written so that NaN, for which every comparison is false, fails
+        if not np.all((p > 0.0) & (p < 1.0)):
             raise DomainError("occurrence probabilities must lie in (0, 1)")
-        if np.any(alpha <= 0.0):
-            raise DomainError("severity parameters must be positive")
+        if not np.all((alpha > 0.0) & np.isfinite(alpha)):
+            raise DomainError("severity parameters must be positive and finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "alpha", alpha)
 
@@ -105,7 +106,7 @@ class ClaimCountDistribution:
             raise DomainError("support must be a non-empty 1-d integer vector")
         if np.any(np.diff(support) <= 0) or support[0] < 1:
             raise DomainError("support must be strictly increasing positive integers")
-        if weights.shape != support.shape or np.any(weights < 0):
+        if weights.shape != support.shape or not np.all(weights >= 0):
             raise DomainError("weights must be nonnegative and match the support")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError("weights must sum to 1 (within 1e-12)")
@@ -131,8 +132,8 @@ def poisson_counts(lam: float, support: Sequence[int]) -> ClaimCountDistribution
     The raw (unnormalized) Poisson masses are recorded on the result; the
     renormalization is the minimal completion to a probability distribution.
     """
-    if lam <= 0:
-        raise DomainError("Poisson rate must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise DomainError(f"Poisson rate must be positive and finite, got {lam!r}")
     support = np.asarray(support, dtype=int)
     if support.size == 0:
         raise DomainError("support must be non-empty")

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from claimorder.cases import CASE_NAMES, InstanceSpec, get_case
-from claimorder.cli import load_instance_spec
+from claimorder.cli import load_instance_spec, main
 
 # gamma shape of each published case's scale family
 SHAPES = {"ex3_1": 1.5, "cex3_1": 1.5, "cex3_2": 10.09, "cex3_3": 1.5}
@@ -44,3 +46,13 @@ def test_grid_defaults_to_the_instance_points():
     assert case.points == 2000 and case.grid().size == 2000
     assert case.grid(points=333).size == 333
 
+
+
+def test_max_theorem_on_a_min_instance_uses_a_max_grid(tmp_path, capsys):
+    # cex3_2 compares minima; its fixed-N maximum at n = 5 needs x up to 32
+    path = tmp_path / "cex3_2.yaml"
+    path.write_text(_as_instance_file(get_case("cex3_2"), SHAPES["cex3_2"]))
+    out = tmp_path / "report.json"
+    assert main(["audit", str(path), "--theorem", "ST_MAX_FIXED", "--out", str(out)]) == 0
+    [report] = json.loads(out.read_text())
+    assert report["conclusion"]["grid_spec"] == "2000 points on [0.0032, 32]"

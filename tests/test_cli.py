@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from claimorder.cli import main, write_curve_csv
+from claimorder.cli import load_instance_spec, main, write_curve_csv
+from claimorder.ordercheck import TheoremId, audit
 
 GOOD_SPEC = """
 portfolio_a:
@@ -115,6 +116,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,old,new,field", [
+        ("audit", "kind: max", "kind: max\ntolerance: .nan", "tolerance"),
+        ("audit", "kind: max", "kind: max\ntolerance: -1", "tolerance"),
+        ("audit", "p: [0.2,", "p: [.nan,", "portfolio_a.p"),
+        ("simulate", "p: [0.2,", "p: [.nan,", "portfolio_a.p"),
+        ("audit", "alpha: [3.0,", "alpha: [.inf,", "portfolio_a.alpha"),
+        ("audit", "lam: 1.0", "lam: .nan", "counts_a.lam"),
+        ("simulate", "kind: max", "kind: max\nseed: 2.7", "seed"),
+        ("audit", "support: [2, 3]", "support: [2.5, 3]", "counts_a.support"),
+        ("audit", "counts_a: {kind: poisson, lam: 1.0, support: [2, 3]}",
+         "counts_a: {kind: degenerate, m: 2.5}", "counts_a.m"),
+    ])
+    def test_bad_numbers_are_addressed(self, tmp_path, capsys, command, old, new, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(GOOD_SPEC.replace(old, new, 1))
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        path = tmp_path / "floats.yaml"
+        path.write_text(GOOD_SPEC.replace("support: [2, 3]", "support: [2.0, 3]", 1)
+                        .replace("counts_b: {kind: poisson, lam: 1.0, support: [2, 3]}",
+                                 "counts_b: {kind: degenerate, m: 3.0}") + "seed: 7.0\n")
+        spec = load_instance_spec(str(path))
+        assert spec.seed == 7 and isinstance(spec.seed, int)
+        assert spec.counts_a.support.tolist() == [2, 3]
+        assert spec.counts_b.support.tolist() == [3]
+
     def test_resolved_x_min_above_auto_x_max_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(GOOD_SPEC.replace("grid: {points: 400}", "grid: {points: 400, x_min: 100}"))
@@ -174,6 +204,42 @@ grid: {points: 400}
         assert main(["audit", str(path), "--out", str(out)]) == 0
         grids = {r["theorem_id"]: r["conclusion"]["grid_spec"] for r in json.loads(out.read_text())}
         assert grids["ST_MAX_FIXED"] == grids["ST_MAX_RANDOM"] == "400 points on [0.003, 30]"
+
+    def test_report_does_not_depend_on_the_instance_kind(self, tmp_path, capsys):
+        reports = []
+        for kind in ("max", "min"):
+            path = tmp_path / f"{kind}.yaml"
+            path.write_text(GOOD_SPEC.replace("kind: max", f"kind: {kind}"))
+            out = tmp_path / f"{kind}.json"
+            assert main(["audit", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_reports_equal_the_library_audit_on_its_own_grid(self, tmp_path, capsys):
+        path = tmp_path / "instance.yaml"
+        path.write_text(GOOD_SPEC.replace("grid: {points: 400}", "grid: {points: 800}"))
+        out = tmp_path / "report.json"
+        assert main(["audit", str(path), "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert len(reports) > 5
+        spec = load_instance_spec(str(path))
+        for r in reports:
+            lib = audit(TheoremId(r["theorem_id"]), spec.portfolio_a, spec.portfolio_b,
+                        spec.counts_a, spec.counts_b, grid=None)
+            assert json.loads(json.dumps(lib.to_dict())) == r
+
+    def test_grid_error_is_never_a_skipped_theorem(self, tmp_path, capsys):
+        # x_min = 0.5 fits the MAX grid, which ends at x = 8, but not the MIN
+        # grid, which ends at x = 2
+        path = tmp_path / "instance.yaml"
+        path.write_text(GOOD_SPEC.replace("grid: {points: 400}", "grid: {points: 400, x_min: 0.5}"))
+        assert main(["audit", str(path), "--theorem", "ST_MAX_RANDOM"]) == 0
+        capsys.readouterr()
+        for theorem in ("ST_MIN_RANDOM", "all"):
+            assert main(["audit", str(path), "--theorem", theorem]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "x_min" in captured.err
+            assert "skipped" not in captured.out
 
     def test_all_skips_inapplicable(self, spec_file, capsys):
         assert main(["audit", spec_file]) == 0

@@ -54,6 +54,20 @@ class TestPortfolioAndCounts:
         with pytest.raises(DomainError):
             exp_portfolio([0.5], [1.0, 2.0])
 
+    @pytest.mark.parametrize("p,alpha", [
+        ([np.nan, 0.5], [1.0, 2.0]),
+        ([0.5, 0.5], [np.inf, 2.0]),
+        ([0.5, 0.5], [1.0, np.nan]),
+    ])
+    def test_portfolio_rejects_non_finite_values(self, p, alpha):
+        with pytest.raises(DomainError):
+            exp_portfolio(p, alpha)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_poisson_counts_rejects_non_finite_rate(self, lam):
+        with pytest.raises(DomainError):
+            poisson_counts(lam, [1, 2])
+
     def test_counts_validation(self):
         with pytest.raises(DomainError):
             ClaimCountDistribution(np.array([2, 2]), np.array([0.5, 0.5]))
@@ -61,6 +75,8 @@ class TestPortfolioAndCounts:
             ClaimCountDistribution(np.array([0, 1]), np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
             ClaimCountDistribution(np.array([1, 2]), np.array([0.5, 0.6]))
+        with pytest.raises(DomainError):
+            ClaimCountDistribution(np.array([1, 2]), np.array([np.nan, 0.5]))
 
     def test_poisson_counts_oracle(self):
         counts = poisson_counts(0.9, [3, 4, 5])

@@ -292,6 +292,21 @@ class TestAudit:
         assert c["witness"] == pytest.approx(
             [0.27356465891257176, 1.008547468408451, 1.0085434855435154], rel=1e-9)
 
+    @pytest.mark.parametrize("tid", [TheoremId.RH_MAX_RANDOM, TheoremId.RH_MIN_RANDOM])
+    def test_rh_audit_reads_no_reversed_hazard(self, tid, monkeypatch):
+        # the conclusion is the CDF ratio's monotonicity; a pointwise reversed
+        # hazard comparison would be work that no report shows
+        case = get_case("ex3_1")
+        counts = case.counts_a
+        args = (tid, case.portfolio_a, case.portfolio_b, counts, counts)
+        expected = audit(*args).to_dict()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("reversed_hazard_random called")
+
+        monkeypatch.setattr("claimorder.extremes.reversed_hazard_random", fail)
+        assert audit(*args).to_dict() == expected
+
     def test_fixed_n_default_grid_is_built_for_n(self):
         # the n = 5 maximum still has CDF 0.991 at x = 8, where the grid for
         # N = 1 ends; a fixed-N result compares the extremes at N = n

@@ -188,7 +188,7 @@ def _build_counts(node, path) -> ClaimCountDistribution:
             return ClaimCountDistribution(np.asarray(support), weights)
         if kind == "degenerate":
             return ClaimCountDistribution.degenerate(_get_integer(node, "m", path))
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         raise _spec_error(path, str(exc))
     raise _spec_error(f"{path}.kind", f"unknown counts kind {kind!r}")
 
@@ -346,17 +346,13 @@ def cmd_audit(args) -> int:
                 f"unknown theorem id {args.theorem!r}; choose from "
                 + ", ".join(t.value for t in TheoremId) + " or 'all'"
             )
+    inputs = (spec.portfolio_a, spec.portfolio_b, spec.counts_a, spec.counts_b)
     reports = []
     for tid in ids:
         # outside the try: a grid error is a usage error, never a skipped theorem
-        grid = theorem_grid(tid, spec.portfolio_a, spec.portfolio_b, spec.counts_a,
-                            spec.counts_b, spec.points, spec.x_min, spec.x_max)
+        grid = theorem_grid(tid, *inputs, spec.points, spec.x_min, spec.x_max)
         try:
-            result = audit(
-                tid, spec.portfolio_a, spec.portfolio_b,
-                spec.counts_a, spec.counts_b,
-                grid=grid, tol=spec.tolerance,
-            )
+            result = audit(tid, *inputs, grid=grid, tol=spec.tolerance)
         except DomainError as exc:
             if args.theorem != "all":
                 raise
@@ -469,6 +465,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="claimorder", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("case", choices=CASE_NAMES)
     rep.add_argument("--out", help="CSV output path")
     rep.add_argument("--points", type=int, default=2000)
-    rep.add_argument("--tol", type=float, default=1e-9)
+    rep.add_argument("--tol", type=_tolerance, default=1e-9)
     rep.add_argument(
         "--literal", action="store_true",
         help="use published probabilities verbatim; refuse if any lies outside (0, 1)",

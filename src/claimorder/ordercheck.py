@@ -436,9 +436,8 @@ def _conclusion(spec: TheoremSpec, inst, grid: np.ndarray) -> OrderVerdict:
 
 
 def _compared_counts(theorem_id, spec, pf_a, pf_b, counts_a, counts_b):
-    """The claim counts of the extremes a theorem compares.  A fixed-N result
-    compares them at N = n, where the random-N curves equal the fixed-n ones
-    bit for bit."""
+    # a fixed-N result compares the extremes at N = n, whose random-N curves
+    # equal the fixed-n ones bit for bit
     if not spec.random_n:
         return ClaimCountDistribution.degenerate(pf_a.n), ClaimCountDistribution.degenerate(pf_b.n)
     if counts_a is None or counts_b is None:

@@ -47,7 +47,6 @@ def test_grid_defaults_to_the_instance_points():
     assert case.grid(points=333).size == 333
 
 
-
 def test_max_theorem_on_a_min_instance_uses_a_max_grid(tmp_path, capsys):
     # cex3_2 compares minima; its fixed-N maximum at n = 5 needs x up to 32
     path = tmp_path / "cex3_2.yaml"

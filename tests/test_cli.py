@@ -56,6 +56,12 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "outside (0, 1)" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "x"])
+    def test_tolerance_must_be_positive(self, tol, capsys):
+        # a NaN tolerance would report cex3_3's decreasing ratio as monotone
+        assert main(["reproduce", "cex3_3", "--points", "200", f"--tol={tol}"]) == 1
+        assert "--tol" in capsys.readouterr().err
+
     def test_literal_mode_names_the_requested_case(self, capsys):
         assert main(["reproduce", "cex3_3", "--literal"]) == 1
         assert "case cex3_3:" in capsys.readouterr().err
@@ -125,6 +131,7 @@ class TestUsageErrors:
         ("audit", "lam: 1.0", "lam: .nan", "counts_a.lam"),
         ("simulate", "kind: max", "kind: max\nseed: 2.7", "seed"),
         ("audit", "support: [2, 3]", "support: [2.5, 3]", "counts_a.support"),
+        ("audit", "support: [2, 3]", "support: [2, 1.0e+20]", "counts_a"),
         ("audit", "counts_a: {kind: poisson, lam: 1.0, support: [2, 3]}",
          "counts_a: {kind: degenerate, m: 2.5}", "counts_a.m"),
     ])

@@ -8,6 +8,7 @@ doubled grid resolution before being reported as a potential counterexample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import SimpleNamespace
@@ -92,12 +93,19 @@ def _bisect_root(fn, lo, hi, width=1e-6, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+def _check_tol(name: str, value: float) -> None:
+    # written so that NaN, for which every comparison is false, fails
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def verify_st(curve_a, curve_b, grid, tol: float = 1e-9) -> OrderVerdict:
     """Verify A >=_st B: survival of A dominates survival of B on the grid.
 
     A crossing is confirmed only by two consecutive grid points violating
     beyond ``tol``; the witness abscissa is then refined by bisection.
     """
+    _check_tol("tol", tol)
     grid = np.asarray(grid, dtype=float)
     a = _eval_curve(curve_a, grid)
     b = _eval_curve(curve_b, grid)
@@ -128,6 +136,7 @@ def verify_rh(cdf_a, cdf_b, grid, tol: float = 1e-9, rh_a=None, rh_b=None) -> Or
     hazards where the CDFs are tiny; when reversed-hazard callables are given
     the pointwise comparison is attached as secondary evidence.
     """
+    _check_tol("tol", tol)
     grid = np.asarray(grid, dtype=float)
     fa = _eval_curve(cdf_a, grid)
     fb = _eval_curve(cdf_b, grid)
@@ -481,6 +490,8 @@ def audit(
     spec = THEOREMS.get(theorem_id)
     if spec is None:
         raise DomainError(f"unknown theorem id {theorem_id}")
+    _check_tol("tol", tol)
+    _check_tol("reg_tol", reg_tol)
     pf_a, pf_b = portfolio_a, portfolio_b
     if pf_a.n != pf_b.n:
         raise DomainError("portfolios must have equal size")

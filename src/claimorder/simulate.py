@@ -3,6 +3,14 @@
 Replicates are processed in fixed-size chunks, each driven by its own
 counter-based (Philox) stream keyed by (seed, chunk index), so serial and
 parallel runs produce byte-identical results regardless of scheduling.
+
+A chunk draws the claim counts, the occurrence flags and the uniforms of the
+whole ``size x n`` matrix, then inverts only the severities that can decide
+the extreme: for the maximum the cells with ``J_i = 1`` and ``i < N``, for
+the minimum the active cells of rows in which every active claim occurs.
+The draws are those of inverting every cell, so the samples are the same
+bit for bit; only the inversion work, the bulk of sampling for gamma
+families, shrinks.
 """
 
 from __future__ import annotations
@@ -35,10 +43,24 @@ class SimulationConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.samples < 1:
+        samples, seed = _whole("samples", self.samples), _whole("seed", self.seed)
+        if samples < 1:
             raise DomainError("samples must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise DomainError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int; integral floats such as 7.0 pass, 2.7 and NaN do not."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -88,14 +110,22 @@ def _simulate_chunk(portfolio, counts, kind, seed, chunk_idx, size, antithetic):
     else:
         u = rng.random((size, n))
         u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    sev = np.empty((size, n))
-    for i in range(n):
-        sev[:, i] = portfolio.family.inverse_survival(u[:, i], portfolio.alpha[i])
-    t = np.where(occurs, sev, 0.0)
-    active = np.arange(n)[None, :] < m[:, None]
+    # The cells that decide the extreme (see the module docstring), claim-major
+    # so that each claim's row is contiguous; a MIN row that is not full is 0.
+    active = np.arange(n)[:, None] < m[None, :]
     if kind is ExtremeKind.MIN:
-        return np.where(active, t, np.inf).min(axis=1)
-    return np.where(active, t, -np.inf).max(axis=1)
+        full = ~np.any(active & ~occurs.T, axis=0)
+        used = active & full[None, :]
+        t = np.full((n, size), np.inf)
+    else:
+        used = active & occurs.T
+        t = np.zeros((n, size))
+    for i in range(n):
+        rows = used[i]
+        t[i, rows] = portfolio.family.inverse_survival(u[rows, i], portfolio.alpha[i])
+    if kind is ExtremeKind.MIN:
+        return np.where(full, t.min(axis=0), 0.0)
+    return t.max(axis=0)
 
 
 def sample_extreme(

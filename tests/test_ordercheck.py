@@ -208,6 +208,30 @@ class TestAudit:
         assert not all(p.satisfied for p in mn)
         assert not result.conclusion.holds
 
+    @pytest.mark.parametrize("field", ["tol", "reg_tol"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-9])
+    def test_non_finite_or_negative_tolerance_refused(self, field, bad):
+        # at tol=nan every ``diff < -tol`` is false and the counterexample hid
+        case = get_case("cex3_1")
+        args = (TheoremId.ST_MAX_RANDOM, case.portfolio_a, case.portfolio_b,
+                case.counts_a, case.counts_b)
+        with pytest.raises(DomainError):
+            audit(*args, grid=case.grid(points=200), **{field: bad})
+        if field == "tol":
+            grid = np.linspace(0.1, 5.0, 50)
+            curve = lambda x: np.exp(-x)
+            with pytest.raises(DomainError):
+                verify_st(curve, curve, grid, tol=bad)
+            with pytest.raises(DomainError):
+                verify_rh(curve, curve, grid, tol=bad)
+
+    def test_zero_tolerance_accepted(self):
+        case = get_case("cex3_1")
+        result = audit(TheoremId.ST_MAX_RANDOM, case.portfolio_a, case.portfolio_b,
+                       case.counts_a, case.counts_b, grid=case.grid(points=200),
+                       tol=0.0, reg_tol=0.0)
+        assert not result.conclusion.holds
+
     def test_second_counterexample_audit(self):
         case = get_case("cex3_2")
         result = audit(

@@ -1,9 +1,11 @@
+import functools
 import math
 import os
 
 import numpy as np
 import pytest
 
+import claimorder.simulate as simulate
 from claimorder.errors import DomainError
 from claimorder.extremes import (
     ClaimCountDistribution,
@@ -13,7 +15,18 @@ from claimorder.extremes import (
     cdf_min_random,
     poisson_counts,
 )
-from claimorder.severity import Exponential, neg_log
+from claimorder.severity import (
+    BaselineDistribution,
+    Exponential,
+    Gamma,
+    KumaraswamyG,
+    PowerGeneralizedWeibull,
+    ProportionalHazard,
+    Scale,
+    WeibullRate,
+    gamma_baseline,
+    neg_log,
+)
 from claimorder.simulate import (
     EmpiricalCurve,
     SimulationConfig,
@@ -45,6 +58,20 @@ class TestConfig:
             SimulationConfig(samples=10, seed=-1)
         with pytest.raises(DomainError):
             SimulationConfig(samples=10, seed=2**64)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 10.5), ("samples", float("nan")), ("samples", float("inf")),
+        ("samples", "10"), ("seed", 2.7), ("seed", 2.2), ("seed", float("nan")),
+    ])
+    def test_non_integral_refused(self, field, value):
+        kwargs = {"samples": 10, "seed": 1, field: value}
+        with pytest.raises(DomainError):
+            SimulationConfig(**kwargs)
+
+    def test_integral_floats_stored_as_int(self):
+        cfg = SimulationConfig(samples=7.0, seed=np.float64(3.0))
+        assert (cfg.samples, cfg.seed) == (7, 3)
+        assert type(cfg.samples) is int and type(cfg.seed) is int
 
     def test_count_support_limit(self, portfolio):
         with pytest.raises(DomainError):
@@ -169,6 +196,46 @@ class TestAgainstClosedForms:
         assert d < dkw_bound(n)
 
 
+class TestExponentialOracle:
+    """The sampler against mixture CDFs written out by hand from p_i and
+    exp(-alpha_i x), with no curve of ``claimorder.extremes``."""
+
+    P = np.array([0.35, 0.6, 0.8])
+    ALPHA = np.array([0.7, 1.4, 2.5])
+    LAM = 1.2
+
+    def weights(self):
+        raw = np.array([math.exp(-self.LAM) * self.LAM**m / math.factorial(m) for m in (1, 2, 3)])
+        return raw / raw.sum()
+
+    def cdf(self, kind, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for m, w in zip((1, 2, 3), self.weights()):
+            terms = self.P[:m, None] * np.exp(-self.ALPHA[:m, None] * x[None, :])
+            if kind is ExtremeKind.MIN:
+                # T_{1:m} > x >= 0 needs every claim to occur and exceed x
+                out += w * (1.0 - np.prod(terms, axis=0))
+            else:
+                out += w * np.prod(1.0 - terms, axis=0)
+        return out
+
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    def test_ks_within_dkw_band(self, kind):
+        pf = exp_portfolio(self.P, self.ALPHA)
+        counts = ClaimCountDistribution(np.array([1, 2, 3]), self.weights())
+        n = 200_000
+        emp = sample_extreme(pf, counts, kind, SimulationConfig(samples=n, seed=31))
+        assert ks_distance(emp, lambda x: self.cdf(kind, x)) < dkw_bound(n)
+
+    def test_oracle_rejects_a_wrong_portfolio(self):
+        pf = exp_portfolio(self.P, 1.3 * self.ALPHA)
+        counts = ClaimCountDistribution(np.array([1, 2, 3]), self.weights())
+        n = 200_000
+        emp = sample_extreme(pf, counts, ExtremeKind.MAX, SimulationConfig(samples=n, seed=32))
+        assert ks_distance(emp, lambda x: self.cdf(ExtremeKind.MAX, x)) > dkw_bound(n)
+
+
 class TestEmpiricalCurve:
     def test_cdf_properties(self):
         values = np.sort(np.array([0.0, 0.0, 0.5, 1.0, 2.0]))
@@ -193,3 +260,136 @@ class TestEmpiricalCurve:
         )
         with pytest.raises(DomainError):
             dkw_bound(1000, level=0.0)
+
+
+def reference_chunk(portfolio, counts, kind, seed, chunk_idx, size, antithetic, cache=None):
+    """The full-matrix sampler: every cell of the size x n matrix is inverted.
+
+    ``cache`` maps the bytes of ``u`` to its severity matrix.  The draws of
+    ``u`` do not depend on the counts or the extreme, so one test can share
+    the inversions among them; the values are the same as without it.
+    """
+    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
+    n = portfolio.n
+    m = rng.choice(counts.support, size=size, p=counts.weights)
+    occurs = rng.random((size, n)) < portfolio.p[None, :]
+    if antithetic:
+        half = (size + 1) // 2
+        u = rng.random((half, n))
+        u = np.concatenate([u, 1.0 - u[: size - half]], axis=0)
+        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    else:
+        u = rng.random((size, n))
+        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    key = u.tobytes()
+    sev = None if cache is None else cache.get(key)
+    if sev is None:
+        sev = np.empty((size, n))
+        for i in range(n):
+            sev[:, i] = portfolio.family.inverse_survival(u[:, i], portfolio.alpha[i])
+        if cache is not None:
+            cache[key] = sev
+    t = np.where(occurs, sev, 0.0)
+    active = np.arange(n)[None, :] < m[:, None]
+    if kind is ExtremeKind.MIN:
+        return np.where(active, t, np.inf).min(axis=1)
+    return np.where(active, t, -np.inf).max(axis=1)
+
+
+SHIPPED_FAMILIES = {
+    "exponential": Exponential(),
+    "weibull_rate": WeibullRate(1.7),
+    "gamma": Gamma(1.3),
+    "pgw": PowerGeneralizedWeibull(2.0),
+    "scale_gamma": Scale(gamma_baseline(1.5)),
+    "proportional_hazard": ProportionalHazard(gamma_baseline(2.0)),
+    "kumaraswamy_g": KumaraswamyG(gamma_baseline(1.5), 0.7),
+}
+
+
+def mixed_portfolio(family, n):
+    rng = np.random.default_rng(n)
+    return Portfolio(family, neg_log(), rng.uniform(0.3, 0.95, n), rng.uniform(0.5, 3.0, n))
+
+
+def count_cases(n):
+    return {"degenerate": ClaimCountDistribution.degenerate((n + 1) // 2),
+            "poisson": poisson_counts(1.5, range(1, n + 1))}
+
+
+class TestAgainstFullMatrixSampler:
+    """Inverting only the deciding cells leaves every sample bit-identical."""
+
+    SAMPLES = (1 << 16) + 4465  # two chunks
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_byte_identical_to_reference(self, name, n, monkeypatch):
+        pf = mixed_portfolio(SHIPPED_FAMILIES[name], n)
+        reference = functools.partial(reference_chunk, cache={})
+        for label, counts in count_cases(n).items():
+            for kind in ExtremeKind:
+                for antithetic in (False, True):
+                    cfg = SimulationConfig(samples=self.SAMPLES, seed=11, antithetic=antithetic)
+                    got = sample_extreme(pf, counts, kind, cfg)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(simulate, "_simulate_chunk", reference)
+                        ref = sample_extreme(pf, counts, kind, cfg)
+                    where = f"{label} {kind.name} antithetic={antithetic}"
+                    assert got.sorted_values.tobytes() == ref.sorted_values.tobytes(), where
+                    assert got.zero_count == ref.zero_count, where
+
+    def test_byte_identical_in_parallel(self, monkeypatch):
+        pf = mixed_portfolio(SHIPPED_FAMILIES["scale_gamma"], 7)
+        monkeypatch.setenv("CLAIMORDER_THREADS", "2")
+        for kind in ExtremeKind:
+            cfg = SimulationConfig(samples=self.SAMPLES, seed=12)
+            got = sample_extreme(pf, count_cases(7)["poisson"], kind, cfg)
+            with monkeypatch.context() as mp:
+                mp.setattr(simulate, "_simulate_chunk", reference_chunk)
+                ref = sample_extreme(pf, count_cases(7)["poisson"], kind, cfg)
+            assert got.sorted_values.tobytes() == ref.sorted_values.tobytes()
+            assert got.zero_count == ref.zero_count
+
+
+class CountingExponential(Exponential):
+    def __init__(self):
+        self.cells = 0
+        self.calls = 0
+
+    def inverse_survival(self, u, alpha):
+        self.cells += np.size(u)
+        self.calls += 1
+        return super().inverse_survival(u, alpha)
+
+
+class TestDecidingCells:
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    def test_only_deciding_cells_are_inverted(self, kind):
+        family = CountingExponential()
+        pf = Portfolio(family, neg_log(), np.array([0.9, 0.6, 0.8, 0.3, 0.95]),
+                       np.array([1.0, 1.5, 2.0, 2.5, 3.0]))
+        counts = poisson_counts(2.0, [1, 2, 3, 4, 5])
+        size = 5000
+        sample_extreme(pf, counts, kind, SimulationConfig(samples=size, seed=21))
+        # replay the chunk's draws: the count, then the occurrences
+        rng = np.random.Generator(np.random.Philox(key=[21, 0]))
+        m = rng.choice(counts.support, size=size, p=counts.weights)
+        occurs = rng.random((size, pf.n)) < pf.p[None, :]
+        active = np.arange(pf.n)[None, :] < m[:, None]
+        if kind is ExtremeKind.MAX:
+            expected = np.count_nonzero(active & occurs)
+        else:
+            full = np.all(occurs | ~active, axis=1)
+            expected = np.count_nonzero(active[full])
+        assert 0 < expected < size * pf.n
+        assert family.cells == expected
+        assert family.calls == pf.n
+
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    def test_baseline_without_ppf_still_refused(self, kind):
+        base = BaselineDistribution(cdf=lambda x: -np.expm1(-x), pdf=lambda x: np.exp(-x))
+        pf = Portfolio(Scale(base), neg_log(), np.array([1e-9, 1e-9]), np.array([1.0, 2.0]))
+        with pytest.raises(DomainError):
+            sample_extreme(pf, ClaimCountDistribution.degenerate(2), kind,
+                           SimulationConfig(samples=100, seed=0))

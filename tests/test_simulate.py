@@ -4,8 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import claimorder.simulate as simulate
+from claimorder.cases import get_case
 from claimorder.errors import DomainError
 from claimorder.extremes import (
     ClaimCountDistribution,
@@ -393,3 +396,137 @@ class TestDecidingCells:
         with pytest.raises(DomainError):
             sample_extreme(pf, ClaimCountDistribution.degenerate(2), kind,
                            SimulationConfig(samples=100, seed=0))
+
+
+def reference_ks_distance(emp, analytic_cdf):
+    """The full pass: the analytic CDF at every non-zero sample."""
+    n = emp.n
+    z = emp.zero_count
+    dev = 0.0
+    if z:
+        f0 = float(np.asarray(analytic_cdf(np.array([0.0])), dtype=float)[0])
+        dev = abs(z / n - f0)
+    xs = emp.sorted_values[z:]
+    if xs.size:
+        f = np.asarray(analytic_cdf(xs), dtype=float)
+        ranks = np.arange(z, n)
+        upper = np.abs((ranks + 1) / n - f)
+        lower = np.abs(ranks / n - f)
+        dev = max(dev, float(upper.max()), float(lower.max()))
+    return dev
+
+
+class CountingCdf:
+    """Wraps a CDF and counts the points it is evaluated at."""
+
+    def __init__(self, cdf):
+        self.cdf = cdf
+        self.points = 0
+
+    def __call__(self, x):
+        self.points += np.size(x)
+        return self.cdf(x)
+
+
+def curve(values, zeros):
+    values = np.sort(np.concatenate([np.zeros(zeros), np.asarray(values, float)]))
+    return EmpiricalCurve(values, zeros)
+
+
+def atom_exponential_cdf(atom, scale):
+    """An analytic law with mass ``atom`` at 0 and an exponential tail."""
+    return lambda x: atom + (1.0 - atom) * -np.expm1(-np.asarray(x, float) / scale)
+
+
+class TestCdfBatchInvariance:
+    """A point's CDF value does not depend on the batch it is evaluated in;
+    the blocked ``ks_distance`` is bit-identical to the full pass only
+    because of this."""
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+    def test_subset_equals_full_batch(self, name):
+        n = 5
+        pf = mixed_portfolio(SHIPPED_FAMILIES[name], n)
+        rng = np.random.default_rng(len(name))
+        for label, counts in count_cases(n).items():
+            for kind, cdf in ((ExtremeKind.MIN, cdf_min_random),
+                              (ExtremeKind.MAX, cdf_max_random)):
+                emp = sample_extreme(pf, counts, kind, SimulationConfig(samples=3000, seed=13))
+                xs = np.concatenate([[0.0, 1e-300], emp.sorted_values[emp.zero_count:]])
+                full = cdf(pf, counts, xs)
+                where = f"{label} {kind.name}"
+                for size in (1, 2, 7, 100, xs.size // 3):
+                    idx = np.sort(rng.choice(xs.size, size=size, replace=False))
+                    assert full[idx].tobytes() == cdf(pf, counts, xs[idx]).tobytes(), where
+                for i in rng.choice(xs.size, size=20, replace=False):
+                    assert full[i : i + 1].tobytes() == cdf(pf, counts, xs[i : i + 1]).tobytes(), where
+                    assert float(full[i]) == float(cdf(pf, counts, xs[i])), where
+
+
+class TestBlockedKs:
+    """The blocked ``ks_distance`` against the full pass, compared with float ``==``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(0, 12_000),
+        zeros=st.integers(0, 50),
+        levels=st.sampled_from([None, 1, 3, 40]),
+        atom=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, zeros=0, levels=None, atom=0.0, seed=0)
+    @example(m=2, zeros=3, levels=None, atom=0.0, seed=0)
+    def test_equals_full_pass(self, m, zeros, levels, atom, seed):
+        assume(m + zeros > 0)
+        rng = np.random.default_rng(seed)
+        values = rng.exponential(size=m)
+        if levels:
+            # ties: every value is one of a few levels
+            values = rng.choice(rng.exponential(size=levels) + 0.01, size=m)
+        emp = curve(values, zeros)
+        cdf = atom_exponential_cdf(atom, 1.1)
+        assert ks_distance(emp, cdf) == reference_ks_distance(emp, cdf)
+        assert ks_distance(emp, emp.cdf) == reference_ks_distance(emp, emp.cdf)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4096, 4097, 4099, 5000, 5003])
+    @pytest.mark.parametrize("zeros", [0, 9])
+    def test_block_edges(self, m, zeros):
+        # m = 1 is fewer samples than one block, m = 2 exactly one block,
+        # and 4097, 4099 and 5003 leave a partial last block; atom = 0.3 is
+        # an analytic atom at 0 that the sample lacks when zeros = 0
+        emp = curve(np.random.default_rng(m).exponential(size=m), zeros)
+        for atom in (0.0, 0.3):
+            cdf = atom_exponential_cdf(atom, 0.9)
+            assert ks_distance(emp, cdf) == reference_ks_distance(emp, cdf)
+        assert ks_distance(emp, emp.cdf) == reference_ks_distance(emp, emp.cdf)
+
+    def test_all_zero_samples(self):
+        emp = EmpiricalCurve(np.zeros(10), 10)
+        cdf = CountingCdf(atom_exponential_cdf(0.4, 1.0))
+        assert ks_distance(emp, cdf) == reference_ks_distance(emp, cdf.cdf) == pytest.approx(0.6)
+        assert cdf.points == 1
+
+    def test_decreasing_edges_evaluate_every_sample(self):
+        emp = curve(np.random.default_rng(2).exponential(size=20_000), 4)
+        wavy = CountingCdf(lambda x: 0.5 + 0.4 * np.sin(37.0 * np.asarray(x, float)))
+        assert ks_distance(emp, wavy) == reference_ks_distance(emp, wavy.cdf)
+        assert wavy.points == 1 + 20_000
+
+
+class TestPinnedKs:
+    """The cross-checks of the built-in cases at 2^18 samples: the blocked
+    pass gives the full-pass value exactly, and for MAX it evaluates the
+    closed form at fewer than a quarter of the non-zero samples."""
+
+    @pytest.mark.parametrize("case", ["ex3_1", "cex3_1", "cex3_2"])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_matches_full_pass(self, case, side):
+        spec = get_case(case)
+        pf, counts = getattr(spec, f"portfolio_{side}"), getattr(spec, f"counts_{side}")
+        for kind, cdf in ((ExtremeKind.MIN, cdf_min_random), (ExtremeKind.MAX, cdf_max_random)):
+            emp = sample_extreme(pf, counts, kind, SimulationConfig(samples=1 << 18, seed=12))
+            analytic = CountingCdf(lambda x: cdf(pf, counts, x))
+            d = ks_distance(emp, analytic)
+            assert d == reference_ks_distance(emp, analytic.cdf), kind.name
+            if kind is ExtremeKind.MAX:
+                assert analytic.points < 0.25 * (emp.n - emp.zero_count)

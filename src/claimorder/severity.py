@@ -47,49 +47,65 @@ def _as_float(x):
 def _validate_args(x, alpha):
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(x < 0):
+    # written so that NaN, for which every comparison is false, fails
+    if not np.all(x >= 0.0):
         raise DomainError("x must be nonnegative")
-    if np.any(alpha <= 0):
-        raise DomainError("alpha must be positive")
+    if not np.all((alpha > 0.0) & np.isfinite(alpha)):
+        raise DomainError("alpha must be positive and finite")
     return x, alpha
 
 
 class SeverityFamily:
-    """Base class: a survival function F-bar(x; alpha) and its derived functions."""
+    """Base class: a survival function F-bar(x; alpha) and its derived functions.
+
+    The public functions check ``(x, alpha)`` and return a float for a 0-d
+    result.  A family supplies the math on checked arrays: ``_log_sf`` and
+    ``_pdf``, and ``_cdf`` or ``_hazard`` where it has a more accurate
+    closed form than the defaults below.
+    """
 
     name = "base"
 
-    def log_survival(self, x, alpha):
+    def _log_sf(self, x, alpha):
         raise NotImplementedError
 
-    def density(self, x, alpha):
+    def _pdf(self, x, alpha):
         raise NotImplementedError
+
+    def _cdf(self, x, alpha):
+        return -np.expm1(self._log_sf(x, alpha))
+
+    def _hazard(self, x, alpha):
+        s = np.exp(self._log_sf(x, alpha))
+        if np.any(s == 0.0):
+            raise SingularityError("survival underflowed to 0; hazard undefined")
+        return self._pdf(x, alpha) / s
 
     def inverse_survival(self, u, alpha):
         """x such that F-bar(x; alpha) = u, for u in (0, 1]."""
         raise NotImplementedError(f"{self.name} has no closed-form quantile")
 
+    def log_survival(self, x, alpha):
+        return _as_float(self._log_sf(*_validate_args(x, alpha)))
+
     def survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(np.exp(self.log_survival(x, alpha)))
+        return _as_float(np.exp(self._log_sf(*_validate_args(x, alpha))))
 
     def cdf(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(-np.expm1(self.log_survival(x, alpha)))
+        return _as_float(self._cdf(*_validate_args(x, alpha)))
+
+    def density(self, x, alpha):
+        return _as_float(self._pdf(*_validate_args(x, alpha)))
 
     def hazard(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        s = np.exp(self.log_survival(x, alpha))
-        if np.any(s == 0.0):
-            raise SingularityError("survival underflowed to 0; hazard undefined")
-        return _as_float(self.density(x, alpha) / s)
+        return _as_float(self._hazard(*_validate_args(x, alpha)))
 
     def reversed_hazard(self, x, alpha):
         x, alpha = _validate_args(x, alpha)
-        c = -np.expm1(self.log_survival(x, alpha))
+        c = -np.expm1(self._log_sf(x, alpha))
         if np.any(c == 0.0):
             raise SingularityError("CDF is 0; reversed hazard undefined")
-        return _as_float(self.density(x, alpha) / c)
+        return _as_float(self._pdf(x, alpha) / c)
 
 
 class Exponential(SeverityFamily):
@@ -97,17 +113,14 @@ class Exponential(SeverityFamily):
 
     name = "exponential"
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(-alpha * x)
+    def _log_sf(self, x, alpha):
+        return -alpha * x
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(alpha * np.exp(-alpha * x))
+    def _pdf(self, x, alpha):
+        return alpha * np.exp(-alpha * x)
 
-    def hazard(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(np.broadcast_to(alpha, np.broadcast(x, alpha).shape).copy())
+    def _hazard(self, x, alpha):
+        return np.broadcast_to(alpha, np.broadcast(x, alpha).shape).copy()
 
     def inverse_survival(self, u, alpha):
         return _as_float(-np.log(u) / alpha)
@@ -124,22 +137,19 @@ class WeibullRate(SeverityFamily):
         if self.shape <= 0:
             raise DomainError("Weibull shape must be positive")
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(-alpha * np.power(x, self.shape))
+    def _log_sf(self, x, alpha):
+        return -alpha * np.power(x, self.shape)
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
+    def _pdf(self, x, alpha):
         xa = np.power(x, self.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             dxa = self.shape * np.power(x, self.shape - 1.0)
-        return _as_float(alpha * dxa * np.exp(-alpha * xa))
+        return alpha * dxa * np.exp(-alpha * xa)
 
-    def hazard(self, x, alpha):
+    def _hazard(self, x, alpha):
         """alpha * shape * x**(shape - 1), finite where the survival underflows."""
-        x, alpha = _validate_args(x, alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _as_float(alpha * self.shape * np.power(x, self.shape - 1.0))
+            return alpha * self.shape * np.power(x, self.shape - 1.0)
 
     def inverse_survival(self, u, alpha):
         return _as_float(np.power(-np.log(u) / alpha, 1.0 / self.shape))
@@ -160,16 +170,14 @@ class Gamma(SeverityFamily):
         if self.theta <= 0:
             raise DomainError("Gamma scale theta must be positive")
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
+    def _log_sf(self, x, alpha):
         q = special.gammaincc(alpha, x / self.theta)
-        if np.any(q > 1.0) or np.any(q < 0.0):
+        if not np.all((q >= 0.0) & (q <= 1.0)):
             raise EvaluationError("incomplete gamma left [0, 1]")
         with np.errstate(divide="ignore"):
-            return _as_float(np.log(q))
+            return np.log(q)
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
+    def _pdf(self, x, alpha):
         with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = (
                 (alpha - 1.0) * np.log(x)
@@ -179,17 +187,15 @@ class Gamma(SeverityFamily):
             )
         out = np.exp(logpdf)
         # x == 0: the density is 0 for alpha > 1, 1/theta for alpha == 1
-        out = np.where(
+        return np.where(
             np.broadcast_to(x, out.shape) == 0.0,
             np.where(np.broadcast_to(alpha, out.shape) > 1.0, 0.0,
                      np.where(np.broadcast_to(alpha, out.shape) == 1.0, 1.0 / self.theta, np.inf)),
             out,
         )
-        return _as_float(out)
 
-    def cdf(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(special.gammainc(alpha, x / self.theta))
+    def _cdf(self, x, alpha):
+        return special.gammainc(alpha, x / self.theta)
 
     def inverse_survival(self, u, alpha):
         return _as_float(special.gammainccinv(alpha, u) * self.theta)
@@ -206,24 +212,21 @@ class PowerGeneralizedWeibull(SeverityFamily):
         if self.c <= 0:
             raise DomainError("PGW exponent c must be positive")
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(1.0 - np.power(1.0 + np.power(x, self.c), 1.0 / alpha))
+    def _log_sf(self, x, alpha):
+        return 1.0 - np.power(1.0 + np.power(x, self.c), 1.0 / alpha)
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
+    def _pdf(self, x, alpha):
         base = 1.0 + np.power(x, self.c)
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = (1.0 / alpha) * np.power(base, 1.0 / alpha - 1.0) * self.c * np.power(x, self.c - 1.0)
-        return _as_float(np.exp(1.0 - np.power(base, 1.0 / alpha)) * inner)
+        return np.exp(1.0 - np.power(base, 1.0 / alpha)) * inner
 
-    def hazard(self, x, alpha):
+    def _hazard(self, x, alpha):
         """(c / alpha) * x**(c - 1) * (1 + x**c)**(1/alpha - 1), finite where the
         survival underflows."""
-        x, alpha = _validate_args(x, alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _as_float((self.c / alpha) * np.power(x, self.c - 1.0)
-                             * np.power(1.0 + np.power(x, self.c), 1.0 / alpha - 1.0))
+            return ((self.c / alpha) * np.power(x, self.c - 1.0)
+                    * np.power(1.0 + np.power(x, self.c), 1.0 / alpha - 1.0))
 
     def inverse_survival(self, u, alpha):
         return _as_float(np.power(np.power(1.0 - np.log(u), alpha) - 1.0, 1.0 / self.c))
@@ -247,7 +250,8 @@ class BaselineDistribution:
 
     def checked_cdf(self, x):
         g = np.asarray(self.cdf(x), dtype=float)
-        if np.any(g < 0.0) or np.any(g > 1.0):
+        # written so that NaN fails
+        if not np.all((g >= 0.0) & (g <= 1.0)):
             raise EvaluationError(f"baseline CDF '{self.name}' left [0, 1]")
         return g
 
@@ -260,7 +264,7 @@ class BaselineDistribution:
         """log(1 - G(x)), via ``sf`` when supplied."""
         if self.sf is not None:
             s = np.asarray(self.sf(x), dtype=float)
-            if np.any(s < 0.0) or np.any(s > 1.0):
+            if not np.all((s >= 0.0) & (s <= 1.0)):
                 raise EvaluationError(f"baseline survival '{self.name}' left [0, 1]")
             with np.errstate(divide="ignore"):
                 return np.log(s)
@@ -297,17 +301,14 @@ class Scale(SeverityFamily):
     baseline: BaselineDistribution
     name: str = field(default="scale", init=False)
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(self.baseline.log_sf(alpha * x))
+    def _log_sf(self, x, alpha):
+        return self.baseline.log_sf(alpha * x)
 
-    def cdf(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(self.baseline.checked_cdf(alpha * x))
+    def _cdf(self, x, alpha):
+        return self.baseline.checked_cdf(alpha * x)
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(alpha * np.asarray(self.baseline.pdf(alpha * x), dtype=float))
+    def _pdf(self, x, alpha):
+        return alpha * np.asarray(self.baseline.pdf(alpha * x), dtype=float)
 
     def dsurvival_dalpha(self, x, alpha):
         """d F-bar / d alpha = -x g(alpha x), with g the baseline density."""
@@ -327,46 +328,57 @@ class Scale(SeverityFamily):
 
 @dataclass(frozen=True)
 class ProportionalHazard(SeverityFamily):
-    """PHR family: F-bar(x; alpha) = (1 - G(x))**alpha, exact in log-space."""
+    """PHR family: F-bar(x; alpha) = (1 - G(x))**alpha, exact in log-space.
+
+    The alpha = 1 law enters only through ``_base_log_sf``, ``_base_terms``
+    and ``_base_ppf``; these read ``baseline`` = G.
+    """
 
     baseline: BaselineDistribution
     name: str = field(default="proportional_hazard", init=False)
 
-    def _log_base_survival(self, x):
+    def _base_log_sf(self, x):
         return self.baseline.log_sf(x)
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        return _as_float(alpha * self._log_base_survival(x))
+    def _base_terms(self, x):
+        """Log survival and density of the alpha = 1 law."""
+        return self._base_log_sf(x), np.asarray(self.baseline.pdf(x), dtype=float)
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        ls = self._log_base_survival(x)
-        g = np.asarray(self.baseline.pdf(x), dtype=float)
-        return _as_float(alpha * np.exp((alpha - 1.0) * ls) * g)
+    def _base_ppf(self, q):
+        return self.baseline.checked_ppf(q)
+
+    def _log_sf(self, x, alpha):
+        return alpha * self._base_log_sf(x)
+
+    def _pdf(self, x, alpha):
+        ls, g = self._base_terms(x)
+        return alpha * np.exp((alpha - 1.0) * ls) * g
 
     def dsurvival_dalpha(self, x, alpha):
         """d F-bar / d alpha = log(base survival) * base survival**alpha."""
         x, alpha = _validate_args(x, alpha)
-        ls = self._log_base_survival(x)
+        ls = self._base_log_sf(x)
         return _as_float(ls * np.exp(alpha * ls))
 
     def d2survival_dalpha2(self, x, alpha):
         x, alpha = _validate_args(x, alpha)
-        ls = self._log_base_survival(x)
+        ls = self._base_log_sf(x)
         return _as_float(ls * ls * np.exp(alpha * ls))
 
     def inverse_survival(self, u, alpha):
         u = np.asarray(u, dtype=float)
         # F-bar_base(x) = u**(1/alpha)
-        return _as_float(self.baseline.checked_ppf(-np.expm1(np.log(u) / alpha)))
+        return _as_float(self._base_ppf(-np.expm1(np.log(u) / alpha)))
 
 
 @dataclass(frozen=True)
-class KumaraswamyG(SeverityFamily):
-    """Kw-G family: F-bar(x; alpha) = (1 - G(x)**gamma)**alpha."""
+class KumaraswamyG(ProportionalHazard):
+    """Kw-G family: F-bar(x; alpha) = (1 - G(x)**gamma)**alpha.
 
-    baseline: BaselineDistribution
+    This is the PHR family over the baseline CDF G**gamma: only that
+    alpha = 1 law is defined here, and ``baseline`` stays G.
+    """
+
     gamma: float
     name: str = field(default="kumaraswamy_g", init=False)
 
@@ -374,41 +386,25 @@ class KumaraswamyG(SeverityFamily):
         if self.gamma <= 0:
             raise DomainError("Kw-G exponent gamma must be positive")
 
-    def log_survival(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        g = self.baseline.checked_cdf(x)
+    def _base_log_sf(self, x):
         with np.errstate(divide="ignore"):
-            return _as_float(alpha * np.log1p(-np.power(g, self.gamma)))
+            return np.log1p(-np.power(self.baseline.checked_cdf(x), self.gamma))
 
-    def density(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
+    def _base_terms(self, x):
         g = self.baseline.checked_cdf(x)
-        gg = np.power(g, self.gamma)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inner = alpha * np.exp((alpha - 1.0) * np.log1p(-gg))
-            dgg = self.gamma * np.power(g, self.gamma - 1.0) * np.asarray(self.baseline.pdf(x), dtype=float)
-        out = inner * dgg
-        return _as_float(np.where(np.isnan(out), 0.0, out))
+            ls = np.log1p(-np.power(g, self.gamma))
+            dens = self.gamma * np.power(g, self.gamma - 1.0) * np.asarray(self.baseline.pdf(x), dtype=float)
+        return ls, dens
 
-    def dsurvival_dalpha(self, x, alpha):
-        """d F-bar / d alpha = log(1 - G**gamma) * (1 - G**gamma)**alpha."""
-        x, alpha = _validate_args(x, alpha)
-        g = self.baseline.checked_cdf(x)
-        with np.errstate(divide="ignore"):
-            lg = np.log1p(-np.power(g, self.gamma))
-        return _as_float(lg * np.exp(alpha * lg))
+    def _base_ppf(self, q):
+        return self.baseline.checked_ppf(np.power(q, 1.0 / self.gamma))
 
-    def d2survival_dalpha2(self, x, alpha):
-        x, alpha = _validate_args(x, alpha)
-        g = self.baseline.checked_cdf(x)
-        with np.errstate(divide="ignore"):
-            lg = np.log1p(-np.power(g, self.gamma))
-        return _as_float(lg * lg * np.exp(alpha * lg))
-
-    def inverse_survival(self, u, alpha):
-        u = np.asarray(u, dtype=float)
-        g = np.power(-np.expm1(np.log(u) / alpha), 1.0 / self.gamma)
-        return _as_float(self.baseline.checked_ppf(g))
+    def _pdf(self, x, alpha):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = super()._pdf(x, alpha)
+        # 0 * inf where G is 0 or 1 gives NaN; the density there is 0
+        return np.where(np.isnan(out), 0.0, out)
 
 
 # ---------------------------------------------------------------------------

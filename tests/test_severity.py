@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from claimorder.errors import DomainError, GridError
+from claimorder import severity
+from claimorder.errors import DomainError, EvaluationError, GridError, SingularityError
 from claimorder.severity import (
     BaselineDistribution,
     Exponential,
@@ -21,6 +22,7 @@ from claimorder.severity import (
     neg_log,
     power_inverse,
 )
+from test_simulate import SHIPPED_FAMILIES
 
 
 class TestSurvivalOracles:
@@ -192,6 +194,189 @@ class TestWrappedFamilies:
         fam = Scale(base)
         with pytest.raises(DomainError):
             fam.inverse_survival(np.array([0.5]), 1.0)
+
+
+class TestNanBaseline:
+    """Range checks are written so that a NaN from a user baseline fails them."""
+
+    @staticmethod
+    def _nan(x):
+        return np.full(np.shape(x), np.nan)
+
+    def test_nan_cdf_raises(self):
+        base = BaselineDistribution(cdf=self._nan, pdf=np.ones_like)
+        with pytest.raises(EvaluationError):
+            base.checked_cdf(np.array([0.5, 1.0]))
+        with pytest.raises(EvaluationError):
+            base.log_sf(np.array([0.5]))
+        for fam in (Scale(base), ProportionalHazard(base), KumaraswamyG(base, 0.7)):
+            with pytest.raises(EvaluationError):
+                fam.cdf(np.array([0.5, 1.0]), 2.0)
+            with pytest.raises(EvaluationError):
+                fam.log_survival(1.0, 2.0)
+
+    def test_nan_sf_raises(self):
+        base = BaselineDistribution(cdf=lambda x: np.zeros(np.shape(x)), pdf=np.ones_like, sf=self._nan)
+        with pytest.raises(EvaluationError):
+            base.log_sf(np.array([0.5, 1.0]))
+        with pytest.raises(EvaluationError):
+            ProportionalHazard(base).survival(1.0, 2.0)
+
+    def test_nan_incomplete_gamma_raises(self, monkeypatch):
+        monkeypatch.setattr(severity.special, "gammaincc",
+                            lambda a, z: np.full(np.broadcast(a, z).shape, np.nan))
+        with pytest.raises(EvaluationError):
+            Gamma(theta=1.5).log_survival(np.array([0.5, 1.0]), 2.0)
+
+
+class _ReferenceKumaraswamyG:
+    """Kw-G written out from its own formulas, without the PHR hooks, as a
+    plain reference (inputs are assumed valid)."""
+
+    def __init__(self, baseline, gamma):
+        self.baseline = baseline
+        self.gamma = gamma
+
+    @staticmethod
+    def _out(v):
+        a = np.asarray(v)
+        return float(a) if a.ndim == 0 else a
+
+    def _log_survival(self, x, alpha):
+        g = self.baseline.checked_cdf(x)
+        with np.errstate(divide="ignore"):
+            return alpha * np.log1p(-np.power(g, self.gamma))
+
+    def raw_density(self, x, alpha):
+        """The density before NaN is read as 0."""
+        g = self.baseline.checked_cdf(x)
+        gg = np.power(g, self.gamma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = alpha * np.exp((alpha - 1.0) * np.log1p(-gg))
+            dgg = self.gamma * np.power(g, self.gamma - 1.0) * np.asarray(self.baseline.pdf(x), dtype=float)
+            return inner * dgg
+
+    def _density(self, x, alpha):
+        out = self.raw_density(x, alpha)
+        return np.where(np.isnan(out), 0.0, out)
+
+    def log_survival(self, x, alpha):
+        return self._out(self._log_survival(x, alpha))
+
+    def survival(self, x, alpha):
+        return self._out(np.exp(self._log_survival(x, alpha)))
+
+    def cdf(self, x, alpha):
+        return self._out(-np.expm1(self._log_survival(x, alpha)))
+
+    def density(self, x, alpha):
+        return self._out(self._density(x, alpha))
+
+    def hazard(self, x, alpha):
+        s = np.exp(self._log_survival(x, alpha))
+        if np.any(s == 0.0):
+            raise SingularityError("survival underflowed to 0; hazard undefined")
+        return self._out(self._density(x, alpha) / s)
+
+    def reversed_hazard(self, x, alpha):
+        c = -np.expm1(self._log_survival(x, alpha))
+        if np.any(c == 0.0):
+            raise SingularityError("CDF is 0; reversed hazard undefined")
+        return self._out(self._density(x, alpha) / c)
+
+    def dsurvival_dalpha(self, x, alpha):
+        g = self.baseline.checked_cdf(x)
+        with np.errstate(divide="ignore"):
+            lg = np.log1p(-np.power(g, self.gamma))
+        return self._out(lg * np.exp(alpha * lg))
+
+    def d2survival_dalpha2(self, x, alpha):
+        g = self.baseline.checked_cdf(x)
+        with np.errstate(divide="ignore"):
+            lg = np.log1p(-np.power(g, self.gamma))
+        return self._out(lg * lg * np.exp(alpha * lg))
+
+    def inverse_survival(self, u, alpha):
+        u = np.asarray(u, dtype=float)
+        g = np.power(-np.expm1(np.log(u) / alpha), 1.0 / self.gamma)
+        return self._out(self.baseline.checked_ppf(g))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularityError as exc:
+        return exc
+
+
+def _assert_same(got, ref):
+    assert type(got) is type(ref)
+    if isinstance(ref, Exception):
+        assert str(got) == str(ref)
+    else:
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.shape(got) == np.shape(ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestKumaraswamyGReference:
+    """Kw-G as the PHR family over G**gamma gives the reference's results exactly."""
+
+    FUNCTIONS = ("log_survival", "survival", "cdf", "density", "hazard", "reversed_hazard",
+                 "dsurvival_dalpha", "d2survival_dalpha2")
+    # x = 0, tiny x, the body, and the tail where G rounds to 1 for every shape
+    XS = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-6, 400.0, 80), [1e3, np.inf]])
+    US = np.array([1.0, 0.9, 0.5, 0.1, 1e-3, 1e-12, 1e-300])
+
+    @pytest.mark.parametrize("shape", [0.5, 1.5, 10.09])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.7, 3.0])
+    def test_equals_reference(self, shape, gamma):
+        base = gamma_baseline(shape)
+        fam, ref = KumaraswamyG(base, gamma), _ReferenceKumaraswamyG(base, gamma)
+        assert base.cdf(self.XS[-3]) == 1.0
+        for alpha in (0.3, 1.0, 2.2):
+            for name in self.FUNCTIONS:
+                got, want = getattr(fam, name), getattr(ref, name)
+                _assert_same(_outcome(got, self.XS, alpha), _outcome(want, self.XS, alpha))
+                for x in self.XS:
+                    _assert_same(_outcome(got, x, alpha), _outcome(want, x, alpha))
+            _assert_same(fam.inverse_survival(self.US, alpha), ref.inverse_survival(self.US, alpha))
+            for u in self.US:
+                _assert_same(fam.inverse_survival(u, alpha), ref.inverse_survival(u, alpha))
+        alphas = np.array([0.3, 1.0, 2.2])
+        for name in self.FUNCTIONS:
+            _assert_same(_outcome(getattr(fam, name), self.XS[:, None], alphas[None, :]),
+                         _outcome(getattr(ref, name), self.XS[:, None], alphas[None, :]))
+
+    def test_cover_reaches_the_density_mask(self):
+        # the grids above hold points where the raw density is NaN and the
+        # mask makes it 0; without them the reference test could not tell
+        ref = _ReferenceKumaraswamyG(gamma_baseline(1.5), 1.0)
+        raw = ref.raw_density(self.XS, 1.0)
+        assert np.any(np.isnan(raw))
+        fam = KumaraswamyG(gamma_baseline(1.5), 1.0)
+        assert np.all(fam.density(self.XS, 1.0)[np.isnan(raw)] == 0.0)
+
+
+class TestFamilyContract:
+    """Every shipped family checks its arguments and unwraps scalars the same way."""
+
+    FUNCTIONS = ("log_survival", "survival", "cdf", "density", "hazard", "reversed_hazard")
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_contract(self, name, function):
+        fn = getattr(SHIPPED_FAMILIES[name], function)
+        for x in (-1.0, np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(DomainError):
+                fn(x, 1.5)
+        for alpha in (0.0, -1.0, np.nan, np.inf, np.array([1.5, np.inf])):
+            with pytest.raises(DomainError):
+                fn(1.0, alpha)
+        assert type(fn(0.7, 1.5)) is float
+        xs, alphas = np.array([0.3, 1.0, 2.5]), np.array([0.8, 1.5])
+        out = fn(xs[:, None], alphas[None, :])
+        assert isinstance(out, np.ndarray) and out.shape == (3, 2)
 
 
 class TestPsiTransforms:

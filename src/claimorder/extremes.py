@@ -97,7 +97,6 @@ class ClaimCountDistribution:
 
     support: np.ndarray
     weights: np.ndarray
-    raw_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=int)
@@ -127,18 +126,14 @@ class ClaimCountDistribution:
 
 
 def poisson_counts(lam: float, support: Sequence[int]) -> ClaimCountDistribution:
-    """Poisson(lam) weights restricted to ``support`` and renormalized.
-
-    The raw (unnormalized) Poisson masses are recorded on the result; the
-    renormalization is the minimal completion to a probability distribution.
-    """
+    """Poisson(lam) weights restricted to ``support`` and renormalized."""
     if not (lam > 0 and math.isfinite(lam)):
         raise DomainError(f"Poisson rate must be positive and finite, got {lam!r}")
     support = np.asarray(support, dtype=int)
     if support.size == 0:
         raise DomainError("support must be non-empty")
     raw = np.array([math.exp(-lam) * lam**m / math.factorial(m) for m in support])
-    return ClaimCountDistribution(support, raw / raw.sum(), raw_weights=raw)
+    return ClaimCountDistribution(support, raw / raw.sum())
 
 
 def counts_st_leq(c1: ClaimCountDistribution, c2: ClaimCountDistribution) -> bool:
@@ -322,6 +317,9 @@ def reversed_hazard_random(portfolio: Portfolio, counts: ClaimCountDistribution,
 # ---------------------------------------------------------------------------
 # grids
 
+# the default x_max leaves at most this much of every extreme's mass beyond it
+_TAIL_MASS = 1e-6
+
 
 def auto_x_grid(
     portfolios: Sequence[Portfolio],
@@ -330,13 +328,12 @@ def auto_x_grid(
     points: int = 2000,
     x_min: Optional[float] = None,
     x_max: Optional[float] = None,
-    tail_mass: float = 1e-6,
 ) -> np.ndarray:
     """Geometric + linear hybrid grid covering the atom region and the tail.
 
     ``x_max`` defaults to the smallest value at which every mixture CDF
-    exceeds ``1 - tail_mass`` (for MIN, at which every mixture survival drops
-    below ``tail_mass``); ``x_min`` defaults to ``1e-4 * x_max`` and must lie
+    exceeds ``1 - 1e-6`` (for MIN, at which every mixture survival drops
+    below ``1e-6``); ``x_min`` defaults to ``1e-4 * x_max`` and must lie
     in (0, x_max / 10), where the geometric part of the grid ends.
     """
     if x_max is None:
@@ -345,9 +342,9 @@ def auto_x_grid(
             done = True
             for pf, ct in zip(portfolios, counts):
                 if kind is ExtremeKind.MAX:
-                    ok = cdf_max_random(pf, ct, x_max) >= 1.0 - tail_mass
+                    ok = cdf_max_random(pf, ct, x_max) >= 1.0 - _TAIL_MASS
                 else:
-                    ok = survival_min_random(pf, ct, x_max) <= tail_mass
+                    ok = survival_min_random(pf, ct, x_max) <= _TAIL_MASS
                 if not ok:
                     done = False
                     break

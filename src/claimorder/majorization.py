@@ -47,22 +47,22 @@ def _pair(a, b):
     return a, b
 
 
-def majorizes(a, b, tol: float = PREFIX_TOL) -> bool:
+def majorizes(a, b) -> bool:
     """True iff a dominates b in the majorization order (b is 'more averaged')."""
     a, b = _pair(a, b)
     pa = np.cumsum(np.sort(a))
     pb = np.cumsum(np.sort(b))
-    if abs(pa[-1] - pb[-1]) > tol:
+    if abs(pa[-1] - pb[-1]) > PREFIX_TOL:
         return False
-    return bool(np.all(pb[:-1] >= pa[:-1] - tol))
+    return bool(np.all(pb[:-1] >= pa[:-1] - PREFIX_TOL))
 
 
-def weakly_supermajorizes(a, b, tol: float = PREFIX_TOL) -> bool:
+def weakly_supermajorizes(a, b) -> bool:
     """True iff a dominates b in the weak supermajorization order."""
     a, b = _pair(a, b)
     pa = np.cumsum(np.sort(a))
     pb = np.cumsum(np.sort(b))
-    return bool(np.all(pb >= pa - tol))
+    return bool(np.all(pb >= pa - PREFIX_TOL))
 
 
 @dataclass(frozen=True)
@@ -142,27 +142,15 @@ class DoublyStochasticResult:
 
 
 def _ds_constraints(A: np.ndarray, B: np.ndarray):
-    """Equality system {A P = B, row sums 1, col sums 1} over vec(P)."""
+    """Equality system {A P = B, row sums 1, col sums 1} over the row-major vec(P).
+
+    Row ``r * n + j`` of ``kron(A, I)`` is ``(A P)[r, j]``; ``kron(I, 1^T)``
+    sums the rows of P and ``kron(1^T, I)`` its columns.
+    """
     n = A.shape[1]
-    rows = []
-    rhs = []
-    for r in range(A.shape[0]):
-        for j in range(n):
-            coeff = np.zeros((n, n))
-            coeff[:, j] = A[r]
-            rows.append(coeff.ravel())
-            rhs.append(B[r, j])
-    for i in range(n):  # row sums
-        coeff = np.zeros((n, n))
-        coeff[i, :] = 1.0
-        rows.append(coeff.ravel())
-        rhs.append(1.0)
-    for j in range(n):  # column sums
-        coeff = np.zeros((n, n))
-        coeff[:, j] = 1.0
-        rows.append(coeff.ravel())
-        rhs.append(1.0)
-    return np.array(rows), np.array(rhs)
+    eye, ones = np.eye(n), np.ones((1, n))
+    lhs = np.vstack([np.kron(A, eye), np.kron(eye, ones), np.kron(ones, eye)])
+    return lhs, np.concatenate([B.ravel(), np.ones(2 * n)])
 
 
 def chain_majorizes_doubly_stochastic(A: ParamMatrix, B: ParamMatrix) -> DoublyStochasticResult:
@@ -231,19 +219,19 @@ class RowComparison:
         return self.holds
 
 
-def row_majorizes(A: ParamMatrix, B: ParamMatrix, tol: float = PREFIX_TOL) -> RowComparison:
+def row_majorizes(A: ParamMatrix, B: ParamMatrix) -> RowComparison:
     if A.n != B.n:
         raise DomainError("matrices must have equal width")
-    p = majorizes(A.row_psi, B.row_psi, tol)
-    a = majorizes(A.row_alpha, B.row_alpha, tol)
+    p = majorizes(A.row_psi, B.row_psi)
+    a = majorizes(A.row_alpha, B.row_alpha)
     return RowComparison(p and a, p, a)
 
 
-def row_weakly_majorizes(A: ParamMatrix, B: ParamMatrix, tol: float = PREFIX_TOL) -> RowComparison:
+def row_weakly_majorizes(A: ParamMatrix, B: ParamMatrix) -> RowComparison:
     if A.n != B.n:
         raise DomainError("matrices must have equal width")
-    p = weakly_supermajorizes(A.row_psi, B.row_psi, tol)
-    a = weakly_supermajorizes(A.row_alpha, B.row_alpha, tol)
+    p = weakly_supermajorizes(A.row_psi, B.row_psi)
+    a = weakly_supermajorizes(A.row_alpha, B.row_alpha)
     return RowComparison(p and a, p, a)
 
 

@@ -55,6 +55,12 @@ def _validate_args(x, alpha):
     return x, alpha
 
 
+def _check_parameter(name: str, value) -> None:
+    # written so that NaN, for which every comparison is false, fails
+    if not (value > 0 and np.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 class SeverityFamily:
     """Base class: a survival function F-bar(x; alpha) and its derived functions.
 
@@ -134,8 +140,7 @@ class WeibullRate(SeverityFamily):
     name: str = field(default="weibull_rate", init=False)
 
     def __post_init__(self):
-        if self.shape <= 0:
-            raise DomainError("Weibull shape must be positive")
+        _check_parameter("Weibull shape", self.shape)
 
     def _log_sf(self, x, alpha):
         return -alpha * np.power(x, self.shape)
@@ -167,8 +172,7 @@ class Gamma(SeverityFamily):
     name: str = field(default="gamma", init=False)
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise DomainError("Gamma scale theta must be positive")
+        _check_parameter("Gamma scale theta", self.theta)
 
     def _log_sf(self, x, alpha):
         q = special.gammaincc(alpha, x / self.theta)
@@ -209,8 +213,7 @@ class PowerGeneralizedWeibull(SeverityFamily):
     name: str = field(default="power_generalized_weibull", init=False)
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError("PGW exponent c must be positive")
+        _check_parameter("PGW exponent c", self.c)
 
     def _log_sf(self, x, alpha):
         return 1.0 - np.power(1.0 + np.power(x, self.c), 1.0 / alpha)
@@ -275,8 +278,7 @@ class BaselineDistribution:
 def gamma_baseline(shape: float) -> BaselineDistribution:
     """Unit-scale gamma baseline with fixed ``shape``; wrap in :class:`Scale`
     to obtain the rate-parameterized gamma family F-bar(x; alpha) = Q(shape, alpha x)."""
-    if shape <= 0:
-        raise DomainError("gamma shape must be positive")
+    _check_parameter("gamma shape", shape)
     def pdf(x):
         return np.exp(
             (shape - 1.0) * np.log(np.maximum(x, np.finfo(float).tiny))
@@ -311,16 +313,24 @@ class Scale(SeverityFamily):
         return alpha * np.asarray(self.baseline.pdf(alpha * x), dtype=float)
 
     def dsurvival_dalpha(self, x, alpha):
-        """d F-bar / d alpha = -x g(alpha x), with g the baseline density."""
+        """d F-bar / d alpha = -x g(alpha x), with g the baseline density.
+
+        At x = inf the survival is 0 for every alpha, so this and the second
+        derivative are 0 there.
+        """
         x, alpha = _validate_args(x, alpha)
-        return _as_float(-x * np.asarray(self.baseline.pdf(alpha * x), dtype=float))
+        with np.errstate(invalid="ignore"):
+            d = -x * np.asarray(self.baseline.pdf(alpha * x), dtype=float)
+        return _as_float(np.where(x == np.inf, 0.0, d))
 
     def d2survival_dalpha2(self, x, alpha):
         """d^2 F-bar / d alpha^2 = -x^2 g'(alpha x)."""
         if self.baseline.dpdf is None:
             raise DomainError(f"baseline '{self.baseline.name}' has no density derivative")
         x, alpha = _validate_args(x, alpha)
-        return _as_float(-x * x * np.asarray(self.baseline.dpdf(alpha * x), dtype=float))
+        with np.errstate(invalid="ignore"):
+            d = -x * x * np.asarray(self.baseline.dpdf(alpha * x), dtype=float)
+        return _as_float(np.where(x == np.inf, 0.0, d))
 
     def inverse_survival(self, u, alpha):
         return _as_float(self.baseline.checked_ppf(1.0 - np.asarray(u)) / alpha)
@@ -355,15 +365,21 @@ class ProportionalHazard(SeverityFamily):
         return alpha * np.exp((alpha - 1.0) * ls) * g
 
     def dsurvival_dalpha(self, x, alpha):
-        """d F-bar / d alpha = log(base survival) * base survival**alpha."""
+        """d F-bar / d alpha = log(base survival) * base survival**alpha.
+
+        Where the base survival is 0 the survival is 0 for every alpha, so this
+        and the second derivative are 0 there (the formula gives -inf * 0).
+        """
         x, alpha = _validate_args(x, alpha)
         ls = self._base_log_sf(x)
-        return _as_float(ls * np.exp(alpha * ls))
+        with np.errstate(invalid="ignore"):
+            return _as_float(np.where(ls == -np.inf, 0.0, ls * np.exp(alpha * ls)))
 
     def d2survival_dalpha2(self, x, alpha):
         x, alpha = _validate_args(x, alpha)
         ls = self._base_log_sf(x)
-        return _as_float(ls * ls * np.exp(alpha * ls))
+        with np.errstate(invalid="ignore"):
+            return _as_float(np.where(ls == -np.inf, 0.0, ls * ls * np.exp(alpha * ls)))
 
     def inverse_survival(self, u, alpha):
         u = np.asarray(u, dtype=float)
@@ -383,8 +399,7 @@ class KumaraswamyG(ProportionalHazard):
     name: str = field(default="kumaraswamy_g", init=False)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise DomainError("Kw-G exponent gamma must be positive")
+        _check_parameter("Kw-G exponent gamma", self.gamma)
 
     def _base_log_sf(self, x):
         with np.errstate(divide="ignore"):
@@ -437,8 +452,7 @@ def neg_log() -> PsiTransform:
 
 def exponential_decay(a: float) -> PsiTransform:
     """psi(p) = exp(-a p), a > 0."""
-    if a <= 0:
-        raise DomainError("exponential decay rate a must be positive")
+    _check_parameter("exponential decay rate a", a)
     return PsiTransform(
         f"exponential_decay(a={a})",
         lambda p: np.exp(-a * p),
@@ -452,8 +466,7 @@ def power_inverse(b: float) -> PsiTransform:
     The increasing variant p**b can be supplied through :func:`custom_psi`;
     only the decreasing form maps into the hypotheses of the ordering results.
     """
-    if b <= 0:
-        raise DomainError("power exponent b must be positive")
+    _check_parameter("power exponent b", b)
     return PsiTransform(
         f"power_inverse(b={b})",
         lambda p: np.power(p, -b),
@@ -467,6 +480,10 @@ def custom_psi(fn, inverse_fn, kind: str = "custom") -> PsiTransform:
 
 # ---------------------------------------------------------------------------
 # regularity checks
+
+# a grid-checked hypothesis holds when its defining inequality has margin
+# >= -REGULARITY_TOL at every grid point
+REGULARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -513,25 +530,24 @@ def _second_divided_differences(t, f, axis=-1):
     return np.diff(d1, axis=-1) / (t[2:] - t[:-2])
 
 
-def _monotone_check(values, axis, decreasing=True, tol=1e-9):
+def _monotone_check(values, axis, decreasing=True):
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     slack = -np.diff(v, axis=-1) if decreasing else np.diff(v, axis=-1)
-    return _to_check(slack, tol)
+    return _to_check(slack)
 
 
-def _convex_check(t, values, axis, tol=1e-9):
-    slack = _second_divided_differences(t, values, axis=axis)
-    return _to_check(slack, tol)
+def _convex_check(t, values, axis):
+    return _to_check(_second_divided_differences(t, values, axis=axis))
 
 
-def _to_check(slack, tol):
+def _to_check(slack):
     if not np.all(np.isfinite(slack)):
         raise EvaluationError("non-finite value encountered in a regularity check")
     if slack.size == 0:
         return HypothesisCheck(True, np.inf, None)
     idx = np.unravel_index(np.argmin(slack), slack.shape)
     worst = float(slack[idx])
-    return HypothesisCheck(worst >= -tol, worst, tuple(int(i) for i in idx))
+    return HypothesisCheck(worst >= -REGULARITY_TOL, worst, tuple(int(i) for i in idx))
 
 
 def check_regularity(
@@ -539,14 +555,14 @@ def check_regularity(
     psi: PsiTransform,
     alpha_grid,
     x_grid,
-    tol: float = 1e-9,
     p_grid=None,
 ) -> RegularityReport:
     """Verify the parameter-regularity hypotheses on a grid.
 
     Monotonicity is checked via consecutive differences, convexity and
     log-convexity via second divided differences.  A hypothesis holds only
-    if its defining inequality has margin >= -tol at every grid point.
+    if its defining inequality has margin >= -REGULARITY_TOL at every grid
+    point.
     """
     agrid = _check_grid(alpha_grid, "alpha_grid", minimum=3)
     xgrid = _check_grid(x_grid, "x_grid", minimum=1)
@@ -574,16 +590,16 @@ def check_regularity(
     psi_vals = np.asarray(psi(pgrid), dtype=float)
 
     return RegularityReport(
-        decreasing_in_alpha=_monotone_check(S, axis=1, decreasing=True, tol=tol),
-        convex_in_alpha=_convex_check(agrid, S, axis=1, tol=tol),
-        logconvex_in_alpha=_convex_check(agrid, logS, axis=1, tol=tol),
-        logconvex_in_alpha_of_F=_convex_check(agrid, logF, axis=1, tol=tol),
-        hazard_decreasing_in_alpha=_monotone_check(haz, axis=1, decreasing=True, tol=tol),
-        hazard_convex_in_alpha=_convex_check(agrid, haz, axis=1, tol=tol),
-        psi_decreasing=_monotone_check(psi_vals, axis=0, decreasing=True, tol=tol),
-        psi_increasing=_monotone_check(psi_vals, axis=0, decreasing=False, tol=tol),
-        psi_convex=_convex_check(pgrid, psi_vals, axis=0, tol=tol),
-        psi_logconvex=_convex_check(pgrid, np.log(psi_vals), axis=0, tol=tol),
+        decreasing_in_alpha=_monotone_check(S, axis=1, decreasing=True),
+        convex_in_alpha=_convex_check(agrid, S, axis=1),
+        logconvex_in_alpha=_convex_check(agrid, logS, axis=1),
+        logconvex_in_alpha_of_F=_convex_check(agrid, logF, axis=1),
+        hazard_decreasing_in_alpha=_monotone_check(haz, axis=1, decreasing=True),
+        hazard_convex_in_alpha=_convex_check(agrid, haz, axis=1),
+        psi_decreasing=_monotone_check(psi_vals, axis=0, decreasing=True),
+        psi_increasing=_monotone_check(psi_vals, axis=0, decreasing=False),
+        psi_convex=_convex_check(pgrid, psi_vals, axis=0),
+        psi_logconvex=_convex_check(pgrid, np.log(psi_vals), axis=0),
         alpha_grid=agrid,
         x_grid=xgrid,
         p_grid=pgrid,

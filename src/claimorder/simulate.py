@@ -40,7 +40,6 @@ _CHUNK = 1 << 16
 class SimulationConfig:
     samples: int
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
         samples, seed = _whole("samples", self.samples), _whole("seed", self.seed)
@@ -97,19 +96,13 @@ def _max_workers() -> int:
     return 1
 
 
-def _simulate_chunk(portfolio, counts, kind, seed, chunk_idx, size, antithetic):
+def _simulate_chunk(portfolio, counts, kind, seed, chunk_idx, size):
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
     n = portfolio.n
     m = rng.choice(counts.support, size=size, p=counts.weights)
     occurs = rng.random((size, n)) < portfolio.p[None, :]
-    if antithetic:
-        half = (size + 1) // 2
-        u = rng.random((half, n))
-        u = np.concatenate([u, 1.0 - u[: size - half]], axis=0)
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    else:
-        u = rng.random((size, n))
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    u = rng.random((size, n))
+    u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
     # The cells that decide the extreme (see the module docstring), claim-major
     # so that each claim's row is contiguous; a MIN row that is not full is 0.
     active = np.arange(n)[:, None] < m[None, :]
@@ -143,9 +136,7 @@ def sample_extreme(
     ]
 
     def run(i):
-        return _simulate_chunk(
-            portfolio, counts, kind, config.seed, i, sizes[i], config.antithetic
-        )
+        return _simulate_chunk(portfolio, counts, kind, config.seed, i, sizes[i])
 
     workers = min(_max_workers(), n_chunks)
     if workers > 1:

@@ -7,6 +7,7 @@ from claimorder.errors import DomainError
 from claimorder.majorization import (
     ParamMatrix,
     TTransform,
+    _ds_constraints,
     apply_t_transform,
     birkhoff_vertex_feasible,
     chain_majorizes_doubly_stochastic,
@@ -145,7 +146,39 @@ class TestTTransforms:
             assert row_weakly_majorizes(A, B).holds
 
 
+def loop_ds_constraints(A, B):
+    """The equality system of ``_ds_constraints``, one row of vec(P) at a time."""
+    n = A.shape[1]
+    rows, rhs = [], []
+    for r in range(A.shape[0]):
+        for j in range(n):
+            coeff = np.zeros((n, n))
+            coeff[:, j] = A[r]
+            rows.append(coeff.ravel())
+            rhs.append(B[r, j])
+    for i in range(n):  # row sums
+        coeff = np.zeros((n, n))
+        coeff[i, :] = 1.0
+        rows.append(coeff.ravel())
+        rhs.append(1.0)
+    for j in range(n):  # column sums
+        coeff = np.zeros((n, n))
+        coeff[:, j] = 1.0
+        rows.append(coeff.ravel())
+        rhs.append(1.0)
+    return np.array(rows), np.array(rhs)
+
+
 class TestDoublyStochastic:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_constraints_equal_the_loop_version(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            A, B = rng.uniform(0.2, 3.0, (2, n)), rng.uniform(0.2, 3.0, (2, n))
+            for got, want in zip(_ds_constraints(A, B), loop_ds_constraints(A, B)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
     def test_identity_feasible(self):
         A = ParamMatrix(np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 8.0]))
         res = chain_majorizes_doubly_stochastic(A, A)

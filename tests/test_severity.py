@@ -189,6 +189,20 @@ class TestWrappedFamilies:
         assert fam.dsurvival_dalpha(x, alpha) < 0
         assert fam.d2survival_dalpha2(x, alpha) > 0
 
+    @pytest.mark.parametrize("family, xs", [
+        (KumaraswamyG(gamma_baseline(1.5), 0.7), [50.0, 400.0, 1e3, np.inf]),
+        (ProportionalHazard(gamma_baseline(1.5)), [1e3, np.inf]),
+        (Scale(gamma_baseline(1.5)), [np.inf]),
+    ])
+    def test_derivatives_are_zero_where_the_survival_is_zero(self, family, xs):
+        # the survival is 0 for every alpha there, so both derivatives are 0;
+        # the closed forms alone give -inf * 0 = NaN
+        for name in ("dsurvival_dalpha", "d2survival_dalpha2"):
+            fn = getattr(family, name)
+            assert all(fn(x, a) == 0.0 for x in xs for a in (0.3, 1.5, 4.0))
+            grid = fn(np.array(xs)[:, None], np.array([0.3, 1.5, 4.0])[None, :])
+            assert np.all(np.isfinite(grid)) and np.all(grid == 0.0)
+
     def test_baseline_without_ppf_cannot_sample(self):
         base = BaselineDistribution(cdf=lambda x: np.minimum(x, 1.0), pdf=lambda x: np.ones_like(x))
         fam = Scale(base)
@@ -288,13 +302,16 @@ class _ReferenceKumaraswamyG:
         g = self.baseline.checked_cdf(x)
         with np.errstate(divide="ignore"):
             lg = np.log1p(-np.power(g, self.gamma))
-        return self._out(lg * np.exp(alpha * lg))
+        # where the survival is 0 for every alpha, so are its derivatives
+        with np.errstate(invalid="ignore"):
+            return self._out(np.where(lg == -np.inf, 0.0, lg * np.exp(alpha * lg)))
 
     def d2survival_dalpha2(self, x, alpha):
         g = self.baseline.checked_cdf(x)
         with np.errstate(divide="ignore"):
             lg = np.log1p(-np.power(g, self.gamma))
-        return self._out(lg * lg * np.exp(alpha * lg))
+        with np.errstate(invalid="ignore"):
+            return self._out(np.where(lg == -np.inf, 0.0, lg * lg * np.exp(alpha * lg)))
 
     def inverse_survival(self, u, alpha):
         u = np.asarray(u, dtype=float)
@@ -412,6 +429,25 @@ class TestPsiTransforms:
             exponential_decay(0.0)
         with pytest.raises(DomainError):
             power_inverse(-1.0)
+
+
+_CONSTRUCTORS = {
+    "WeibullRate": WeibullRate,
+    "Gamma": Gamma,
+    "PowerGeneralizedWeibull": PowerGeneralizedWeibull,
+    "gamma_baseline": gamma_baseline,
+    "KumaraswamyG": lambda v: KumaraswamyG(gamma_baseline(1.5), v),
+    "exponential_decay": exponential_decay,
+    "power_inverse": power_inverse,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_constructor_parameter_must_be_positive_and_finite(name, value):
+    # WeibullRate(nan) used to pass, and its survival at x = 1 was exp(-alpha)
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        _CONSTRUCTORS[name](value)
 
 
 class TestRegularityChecker:

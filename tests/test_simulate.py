@@ -189,15 +189,6 @@ class TestAgainstClosedForms:
                 inversions += 1
         assert inversions <= 1
 
-    def test_antithetic_still_within_band(self, portfolio, counts):
-        n = 100_000
-        emp = sample_extreme(
-            portfolio, counts, ExtremeKind.MAX,
-            SimulationConfig(samples=n, seed=9, antithetic=True),
-        )
-        d = ks_distance(emp, lambda x: cdf_max_random(portfolio, counts, x))
-        assert d < dkw_bound(n)
-
 
 class TestExponentialOracle:
     """The sampler against mixture CDFs written out by hand from p_i and
@@ -265,7 +256,7 @@ class TestEmpiricalCurve:
             dkw_bound(1000, level=0.0)
 
 
-def reference_chunk(portfolio, counts, kind, seed, chunk_idx, size, antithetic, cache=None):
+def reference_chunk(portfolio, counts, kind, seed, chunk_idx, size, cache=None):
     """The full-matrix sampler: every cell of the size x n matrix is inverted.
 
     ``cache`` maps the bytes of ``u`` to its severity matrix.  The draws of
@@ -276,14 +267,8 @@ def reference_chunk(portfolio, counts, kind, seed, chunk_idx, size, antithetic, 
     n = portfolio.n
     m = rng.choice(counts.support, size=size, p=counts.weights)
     occurs = rng.random((size, n)) < portfolio.p[None, :]
-    if antithetic:
-        half = (size + 1) // 2
-        u = rng.random((half, n))
-        u = np.concatenate([u, 1.0 - u[: size - half]], axis=0)
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
-    else:
-        u = rng.random((size, n))
-        u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
+    u = rng.random((size, n))
+    u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
     key = u.tobytes()
     sev = None if cache is None else cache.get(key)
     if sev is None:
@@ -332,15 +317,14 @@ class TestAgainstFullMatrixSampler:
         reference = functools.partial(reference_chunk, cache={})
         for label, counts in count_cases(n).items():
             for kind in ExtremeKind:
-                for antithetic in (False, True):
-                    cfg = SimulationConfig(samples=self.SAMPLES, seed=11, antithetic=antithetic)
-                    got = sample_extreme(pf, counts, kind, cfg)
-                    with monkeypatch.context() as mp:
-                        mp.setattr(simulate, "_simulate_chunk", reference)
-                        ref = sample_extreme(pf, counts, kind, cfg)
-                    where = f"{label} {kind.name} antithetic={antithetic}"
-                    assert got.sorted_values.tobytes() == ref.sorted_values.tobytes(), where
-                    assert got.zero_count == ref.zero_count, where
+                cfg = SimulationConfig(samples=self.SAMPLES, seed=11)
+                got = sample_extreme(pf, counts, kind, cfg)
+                with monkeypatch.context() as mp:
+                    mp.setattr(simulate, "_simulate_chunk", reference)
+                    ref = sample_extreme(pf, counts, kind, cfg)
+                where = f"{label} {kind.name}"
+                assert got.sorted_values.tobytes() == ref.sorted_values.tobytes(), where
+                assert got.zero_count == ref.zero_count, where
 
     def test_byte_identical_in_parallel(self, monkeypatch):
         pf = mixed_portfolio(SHIPPED_FAMILIES["scale_gamma"], 7)

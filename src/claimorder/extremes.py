@@ -37,16 +37,12 @@ __all__ = [
     "survival_min_fixed",
     "cdf_min_fixed",
     "cdf_max_fixed",
-    "survival_max_fixed",
-    "density_min_fixed",
-    "density_max_fixed",
     "reversed_hazard_min_fixed",
     "reversed_hazard_max_fixed",
     "survival_min_random",
     "cdf_min_random",
     "cdf_max_random",
     "survival_max_random",
-    "density_random",
     "reversed_hazard_random",
     "auto_x_grid",
 ]
@@ -84,11 +80,8 @@ class Portfolio:
     def n(self) -> int:
         return self.p.size
 
-    def psi_values(self) -> np.ndarray:
-        return np.asarray(self.psi(self.p), dtype=float)
-
     def param_matrix(self) -> ParamMatrix:
-        return ParamMatrix(self.psi_values(), self.alpha)
+        return ParamMatrix(np.asarray(self.psi(self.p), dtype=float), self.alpha)
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,15 @@ def poisson_counts(lam: float, support: Sequence[int]) -> ClaimCountDistribution
     support = np.asarray(support, dtype=int)
     if support.size == 0:
         raise DomainError("support must be non-empty")
-    raw = np.array([math.exp(-lam) * lam**m / math.factorial(m) for m in support])
+    try:
+        with np.errstate(over="ignore"):
+            raw = np.array([math.exp(-lam) * lam**m / math.factorial(m) for m in support])
+    except OverflowError:  # m! beyond the float range
+        raw = np.array([math.inf])
+    # an overflowed term, or a total below the smallest normal float, lost its precision
+    if not np.finfo(float).tiny <= raw.sum() < math.inf:
+        logs = np.array([m * math.log(lam) - math.lgamma(m + 1) for m in support])
+        raw = np.exp(logs - logs.max())
     return ClaimCountDistribution(support, raw / raw.sum())
 
 
@@ -231,26 +232,18 @@ def _mixture(counts: ClaimCountDistribution, curve, *prefixes):
 # fixed m
 
 
-def log_survival_min_fixed(portfolio: Portfolio, m: int, x):
-    """log P(T_{1:m} > x) = sum_i (log p_i + log F-bar(x; alpha_i))."""
-    return _fixed(portfolio, m, x, ExtremeKind.MIN)[0]
-
-
 def survival_min_fixed(portfolio: Portfolio, m: int, x):
-    return np.exp(log_survival_min_fixed(portfolio, m, x))
+    """P(T_{1:m} > x) = exp(sum_i (log p_i + log F-bar(x; alpha_i)))."""
+    return np.exp(_fixed(portfolio, m, x, ExtremeKind.MIN)[0])
 
 
 def cdf_min_fixed(portfolio: Portfolio, m: int, x):
-    return -np.expm1(log_survival_min_fixed(portfolio, m, x))
+    return -np.expm1(_fixed(portfolio, m, x, ExtremeKind.MIN)[0])
 
 
 def cdf_max_fixed(portfolio: Portfolio, m: int, x):
     """P(T_{m:m} <= x) = prod_i (1 - p_i F-bar(x; alpha_i)), via log1p sums."""
     return np.exp(_fixed(portfolio, m, x, ExtremeKind.MAX)[0])
-
-
-def survival_max_fixed(portfolio: Portfolio, m: int, x):
-    return 1.0 - cdf_max_fixed(portfolio, m, x)
 
 
 def reversed_hazard_max_fixed(portfolio: Portfolio, m: int, x):
@@ -265,16 +258,6 @@ def reversed_hazard_min_fixed(portfolio: Portfolio, m: int, x):
     f = -np.expm1(ls)
     # the atom at 0 has mass 1 - prod p_i > 0, so f > 0 for all x >= 0
     return (s / f) * hazards
-
-
-def density_min_fixed(portfolio: Portfolio, m: int, x):
-    """Density of T_{1:m} on x > 0 (excluding the atom at 0)."""
-    return _density(*_fixed(portfolio, m, x, ExtremeKind.MIN, hazard=True))
-
-
-def density_max_fixed(portfolio: Portfolio, m: int, x):
-    """Density of T_{m:m} on x > 0 (excluding the atom at 0)."""
-    return _density(*_fixed(portfolio, m, x, ExtremeKind.MAX, hazard=True))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +281,6 @@ def cdf_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
 
 def survival_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
     return 1.0 - cdf_max_random(portfolio, counts, x)
-
-
-def density_random(portfolio: Portfolio, counts: ClaimCountDistribution, kind: ExtremeKind, x):
-    return _mixture(counts, _density, *_random(portfolio, counts, x, kind, hazard=True))
 
 
 def reversed_hazard_random(portfolio: Portfolio, counts: ClaimCountDistribution, kind: ExtremeKind, x):

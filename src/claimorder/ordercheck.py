@@ -79,10 +79,15 @@ def _grid_spec(grid) -> str:
     return f"{grid.size} points on [{grid[0]:.6g}, {grid[-1]:.6g}]"
 
 
-def _bisect_root(fn, lo, hi, width=1e-6, max_iter=200):
+# a witness bisection stops once its bracket is this narrow, or after this many steps
+_BISECT_WIDTH = 1e-6
+_BISECT_MAX_ITER = 200
+
+
+def _bisect_root(fn, lo, hi):
     flo = fn(lo)
-    for _ in range(max_iter):
-        if hi - lo <= width:
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= _BISECT_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         fmid = fn(mid)

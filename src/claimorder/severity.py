@@ -492,7 +492,6 @@ class HypothesisCheck:
 
     holds: bool
     worst_margin: float
-    at: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -509,9 +508,6 @@ class RegularityReport:
     psi_increasing: HypothesisCheck
     psi_convex: HypothesisCheck
     psi_logconvex: HypothesisCheck
-    alpha_grid: np.ndarray
-    x_grid: np.ndarray
-    p_grid: np.ndarray
 
 
 def _check_grid(grid, name, minimum=1):
@@ -544,10 +540,9 @@ def _to_check(slack):
     if not np.all(np.isfinite(slack)):
         raise EvaluationError("non-finite value encountered in a regularity check")
     if slack.size == 0:
-        return HypothesisCheck(True, np.inf, None)
-    idx = np.unravel_index(np.argmin(slack), slack.shape)
-    worst = float(slack[idx])
-    return HypothesisCheck(worst >= -REGULARITY_TOL, worst, tuple(int(i) for i in idx))
+        return HypothesisCheck(True, np.inf)
+    worst = float(slack.min())
+    return HypothesisCheck(worst >= -REGULARITY_TOL, worst)
 
 
 def check_regularity(
@@ -600,7 +595,4 @@ def check_regularity(
         psi_increasing=_monotone_check(psi_vals, axis=0, decreasing=False),
         psi_convex=_convex_check(pgrid, psi_vals, axis=0),
         psi_logconvex=_convex_check(pgrid, np.log(psi_vals), axis=0),
-        alpha_grid=agrid,
-        x_grid=xgrid,
-        p_grid=pgrid,
     )

@@ -73,17 +73,10 @@ class EmpiricalCurve:
     def n(self) -> int:
         return self.sorted_values.size
 
-    @property
-    def zero_mass(self) -> float:
-        return self.zero_count / self.n
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.searchsorted(self.sorted_values, x, side="right") / self.n
         return float(out) if out.ndim == 0 else out
-
-    def survival(self, x):
-        return 1.0 - self.cdf(x)
 
 
 def _max_workers() -> int:

@@ -95,7 +95,7 @@ def test_criterion_2_first_counterexample_sign_change():
     lo = float(x[flip])
     hi = float(x[nz[np.searchsorted(nz, flip) + 1]])
     fn = lambda t: float(case.delta(np.array([t]))[0])
-    x_w = _bisect_root(fn, lo, hi, width=1e-6)
+    x_w = _bisect_root(fn, lo, hi)
     crossing_confirmed = np.sign(fn(x_w - 1e-6)) != np.sign(fn(x_w + 1e-6))
     elapsed = time.perf_counter() - t0
     ok = has_neg and has_pos and crossing_confirmed and elapsed < 5.0

@@ -31,25 +31,48 @@ def spec_file(tmp_path):
     return str(path)
 
 
+_EX3_CORRECTIONS = (
+    "correction applied: p[5] = e^{3.9} exceeds 1; corrected to e^{-3.9}\n"
+    "correction applied: q[5] = e^{3.9} exceeds 1; corrected to e^{-3.9}\n"
+)
+
+# reproduce's whole stdout at the default points and at --points 200
+_REPRODUCE_STDOUT = {
+    "ex3_1": 2 * [
+        _EX3_CORRECTIONS
+        + "ex3_1: holds: difference <= 0 everywhere (max difference -7.77379e-07)\n"
+    ],
+    "cex3_1": 2 * [
+        "correction applied: p[5] = e^{3.9} exceeds 1; corrected to e^{-3.9}\n"
+        "correction applied: q[5] = e^{2.6} exceeds 1; corrected to e^{-2.6}\n"
+        "cex3_1: sign change at x ~= 0.841381\n"
+    ],
+    "cex3_2": 2 * ["cex3_2: sign change at x ~= 1.49035\n"],
+    "cex3_3": [
+        _EX3_CORRECTIONS + "cex3_3: ratio decreases on [0.0008, 0.000822413] (not monotone)\n",
+        _EX3_CORRECTIONS + "cex3_3: ratio decreases on [0.0008, 0.00105461] (not monotone)\n",
+    ],
+}
+
+
+def _assert_reproduce_stdout(case, capsys):
+    for extra, want in zip(([], ["--points", "200"]), _REPRODUCE_STDOUT[case]):
+        assert main(["reproduce", case, *extra]) == 0
+        assert capsys.readouterr().out == want, extra
+
+
 class TestReproduce:
     def test_example_holds_and_reports_corrections(self, capsys):
-        assert main(["reproduce", "ex3_1"]) == 0
-        out = capsys.readouterr().out
-        assert "correction applied" in out
-        assert "e^{3.9}" in out and "e^{-3.9}" in out
-        assert "difference <= 0 everywhere" in out
+        _assert_reproduce_stdout("ex3_1", capsys)
 
     def test_first_counterexample_reports_crossing(self, capsys):
-        assert main(["reproduce", "cex3_1"]) == 0
-        assert "sign change at x ~=" in capsys.readouterr().out
+        _assert_reproduce_stdout("cex3_1", capsys)
 
     def test_second_counterexample_reports_crossing(self, capsys):
-        assert main(["reproduce", "cex3_2"]) == 0
-        assert "sign change at x ~=" in capsys.readouterr().out
+        _assert_reproduce_stdout("cex3_2", capsys)
 
     def test_third_counterexample_ratio_not_monotone(self, capsys):
-        assert main(["reproduce", "cex3_3"]) == 0
-        assert "not monotone" in capsys.readouterr().out
+        _assert_reproduce_stdout("cex3_3", capsys)
 
     def test_literal_mode_refuses_corrected_probabilities(self, capsys):
         assert main(["reproduce", "ex3_1", "--literal"]) == 1

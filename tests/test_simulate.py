@@ -138,7 +138,7 @@ class TestAgainstClosedForms:
         emp = sample_extreme(pf, deg, ExtremeKind.MAX, SimulationConfig(samples=n, seed=3))
         expected = float(np.prod(1.0 - p))
         sigma = math.sqrt(expected * (1.0 - expected) / n)
-        assert abs(emp.zero_mass - expected) <= 3.0 * sigma
+        assert abs(emp.zero_count / n - expected) <= 3.0 * sigma
 
     def test_atom_mass_min_within_3_sigma(self):
         p = np.array([0.3, 0.5, 0.6])
@@ -148,7 +148,7 @@ class TestAgainstClosedForms:
         emp = sample_extreme(pf, deg, ExtremeKind.MIN, SimulationConfig(samples=n, seed=4))
         expected = 1.0 - float(np.prod(p))
         sigma = math.sqrt(expected * (1.0 - expected) / n)
-        assert abs(emp.zero_mass - expected) <= 3.0 * sigma
+        assert abs(emp.zero_count / n - expected) <= 3.0 * sigma
 
     def test_single_exponential_survival_oracle(self):
         # one claim, p = 0.5, rate 1: P(T > 1) = 0.5 e^{-1} = 0.18394
@@ -159,7 +159,7 @@ class TestAgainstClosedForms:
         expected = 0.5 * math.exp(-1.0)
         assert expected == pytest.approx(0.18394, abs=5e-6)
         sigma = math.sqrt(expected * (1.0 - expected) / n)
-        assert abs(emp.survival(1.0) - expected) <= 3.0 * sigma
+        assert abs(1.0 - emp.cdf(1.0) - expected) <= 3.0 * sigma
 
     @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
     def test_ks_within_dkw_band(self, portfolio, counts, kind):
@@ -240,7 +240,7 @@ class TestEmpiricalCurve:
         assert emp.cdf(10.0) == 1.0
         xs = np.linspace(-1, 3, 50)
         assert np.all(np.diff(emp.cdf(xs)) >= 0)
-        assert emp.zero_mass == pytest.approx(0.4)
+        assert emp.zero_count / emp.n == pytest.approx(0.4)
 
     def test_ks_of_curve_against_itself_is_small(self):
         rng = np.random.default_rng(0)

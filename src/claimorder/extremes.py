@@ -12,11 +12,20 @@ and row m - 1 of those running sums gives the first-m curve.  A fixed-m curve
 reads one row; a mixture weights the rows at the count support.  A curve on
 ``x`` thus costs O(n * |x|) family work plus O(|support| * |x|) for the
 mixture, where n is the largest count used.
+
+The per-claim severity terms (log-survival, and the hazard once a reversed
+hazard asks for it) are remembered for the last two (family, alpha, grid)
+triples, so the survival, CDF and reversed-hazard curves of both portfolios
+of one comparison evaluate the family once per portfolio and grid.  The
+remembered arrays are the ones an unremembered call computes, so every curve
+is bit for bit the same whatever was evaluated before it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -48,6 +57,13 @@ __all__ = [
 ]
 
 
+def _frozen_copy(values, dtype) -> np.ndarray:
+    """A read-only copy, so that a validated or remembered value cannot change."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class ExtremeKind(Enum):
     MIN = "min"
     MAX = "max"
@@ -64,8 +80,8 @@ class Portfolio:
     alpha: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
+        p = _frozen_copy(self.p, float)
+        alpha = _frozen_copy(self.alpha, float)
         if p.ndim != 1 or alpha.ndim != 1 or p.size != alpha.size or p.size == 0:
             raise DomainError("p and alpha must be 1-d vectors of equal positive length")
         # written so that NaN, for which every comparison is false, fails
@@ -92,8 +108,8 @@ class ClaimCountDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=int)
-        weights = np.asarray(self.weights, dtype=float)
+        support = _frozen_copy(self.support, int)
+        weights = _frozen_copy(self.weights, float)
         if support.ndim != 1 or support.size == 0:
             raise DomainError("support must be a non-empty 1-d integer vector")
         if np.any(np.diff(support) <= 0) or support[0] < 1:
@@ -160,6 +176,50 @@ def _check_counts(portfolio: Portfolio, counts: ClaimCountDistribution):
 # ---------------------------------------------------------------------------
 # the prefix kernel
 
+# two entries hold both portfolios of one comparison
+_MEMO_CAPACITY = 2
+_memo: "OrderedDict[tuple, _ClaimTerms]" = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+@dataclass
+class _ClaimTerms:
+    # the family is held so that its id, part of the memo key, is not reused
+    family: SeverityFamily
+    log_s: np.ndarray
+    hazard: Optional[np.ndarray] = None
+
+
+def _claim_terms(family: SeverityFamily, alpha, row, hazard: bool):
+    """``family.log_survival(row, alpha)`` and, if ``hazard``, the hazard on the
+    same cells, as read-only arrays.
+
+    Both are remembered for the last ``_MEMO_CAPACITY`` (family object, alpha
+    values, row values) keys; a hit returns the arrays the first call
+    computed, so the result does not depend on what was evaluated before.
+    """
+    key = (id(family), alpha.tobytes(), alpha.shape, row.tobytes(), row.shape)
+    with _memo_lock:
+        terms = _memo.get(key)
+        if terms is not None:
+            _memo.move_to_end(key)
+    if terms is None:
+        fresh = _ClaimTerms(family, _frozen_copy(family.log_survival(row, alpha), float))
+        with _memo_lock:
+            terms = _memo.setdefault(key, fresh)
+            _memo.move_to_end(key)
+            while len(_memo) > _MEMO_CAPACITY:
+                _memo.popitem(last=False)
+    if not hazard:
+        return terms.log_s, None
+    if terms.hazard is None:
+        # row and alpha hold the key's values now, so the hazard belongs to it
+        rates = _frozen_copy(family._hazard(row, alpha, terms.log_s), float)
+        with _memo_lock:
+            if terms.hazard is None:
+                terms.hazard = rates
+    return terms.log_s, terms.hazard
+
 
 def _prefixes(portfolio: Portfolio, m_max: int, x, kind: ExtremeKind, hazard: bool = False):
     """Running sums over the first ``m_max`` claims; row ``m - 1`` covers claims 1..m.
@@ -168,16 +228,16 @@ def _prefixes(portfolio: Portfolio, m_max: int, x, kind: ExtremeKind, hazard: bo
     MAX: ``sum_i log1p(-p_i F-bar_i)`` = log P(T_{m:m} <= x), and
     ``sum_i p_i F-bar_i r_i / (1 - p_i F-bar_i)``.
 
-    Each family function is called once, with the claims as a column against
-    ``x`` as a row, and the sums are accumulated claim by claim in portfolio
-    order, so row ``m - 1`` equals the sum of the first m per-claim terms
-    added left to right.  Both arrays have shape ``[m_max, *x.shape]``; the
-    second is None unless ``hazard`` is set.  Cost: O(m_max * x.size).
+    Each family function is called at most once per (family, alpha, grid),
+    with the claims as a column against ``x`` as a row (see
+    :func:`_claim_terms`), and the sums are accumulated claim by claim in
+    portfolio order, so row ``m - 1`` equals the sum of the first m per-claim
+    terms added left to right.  Both arrays have shape ``[m_max, *x.shape]``;
+    the second is None unless ``hazard`` is set.  Cost: O(m_max * x.size).
     """
     x = np.asarray(x, dtype=float)
     row = x.reshape(1, -1)
-    alpha = portfolio.alpha[:m_max, None]
-    log_s = np.asarray(portfolio.family.log_survival(row, alpha), dtype=float)
+    log_s, terms = _claim_terms(portfolio.family, portfolio.alpha[:m_max, None], row, hazard)
     if kind is ExtremeKind.MIN:
         # log p_i joins the running total before log F-bar_i does
         steps = np.empty((m_max, 2, row.shape[1]))
@@ -189,7 +249,6 @@ def _prefixes(portfolio: Portfolio, m_max: int, x, kind: ExtremeKind, hazard: bo
         logs = np.cumsum(np.log1p(-ps), axis=0)
     rates = None
     if hazard:
-        terms = np.asarray(portfolio.family.hazard(row, alpha), dtype=float)
         if kind is ExtremeKind.MAX:
             denom = 1.0 - ps
             if np.any(denom <= 0.0):
@@ -298,6 +357,8 @@ def reversed_hazard_random(portfolio: Portfolio, counts: ClaimCountDistribution,
 
 # the default x_max leaves at most this much of every extreme's mass beyond it
 _TAIL_MASS = 1e-6
+# the candidates for the default x_max, 1, 2, 4, ..., 2**79
+_DOUBLINGS = 2.0 ** np.arange(80)
 
 
 def auto_x_grid(
@@ -310,26 +371,23 @@ def auto_x_grid(
 ) -> np.ndarray:
     """Geometric + linear hybrid grid covering the atom region and the tail.
 
-    ``x_max`` defaults to the smallest value at which every mixture CDF
-    exceeds ``1 - 1e-6`` (for MIN, at which every mixture survival drops
-    below ``1e-6``); ``x_min`` defaults to ``1e-4 * x_max`` and must lie
-    in (0, x_max / 10), where the geometric part of the grid ends.
+    ``x_max`` defaults to the smallest power of two, from 1 to 2**79, at
+    which every mixture CDF exceeds ``1 - 1e-6`` (for MIN, at which every
+    mixture survival drops below ``1e-6``), and to 2**80 if there is none;
+    each mixture is evaluated once, at all 80 candidates.  ``x_min``
+    defaults to ``1e-4 * x_max`` and must lie in (0, x_max / 10), where the
+    geometric part of the grid ends.
     """
     if x_max is None:
-        x_max = 1.0
-        for _ in range(80):
-            done = True
+        done = np.ones(_DOUBLINGS.shape, dtype=bool)
+        # curves past the answer may overflow on the way to their limit
+        with np.errstate(over="ignore"):
             for pf, ct in zip(portfolios, counts):
                 if kind is ExtremeKind.MAX:
-                    ok = cdf_max_random(pf, ct, x_max) >= 1.0 - _TAIL_MASS
+                    done &= cdf_max_random(pf, ct, _DOUBLINGS) >= 1.0 - _TAIL_MASS
                 else:
-                    ok = survival_min_random(pf, ct, x_max) <= _TAIL_MASS
-                if not ok:
-                    done = False
-                    break
-            if done:
-                break
-            x_max *= 2.0
+                    done &= survival_min_random(pf, ct, _DOUBLINGS) <= _TAIL_MASS
+        x_max = float(_DOUBLINGS[np.argmax(done)]) if done.any() else 2.0 ** 80
     if x_min is None:
         x_min = 1e-4 * x_max
     if not 0.0 < x_min < x_max / 10.0:

@@ -67,7 +67,9 @@ class SeverityFamily:
     The public functions check ``(x, alpha)`` and return a float for a 0-d
     result.  A family supplies the math on checked arrays: ``_log_sf`` and
     ``_pdf``, and ``_cdf`` or ``_hazard`` where it has a more accurate
-    closed form than the defaults below.
+    closed form than the defaults below.  ``_hazard`` takes ``log_sf``, the
+    ``_log_sf(x, alpha)`` a caller already holds, so that the default need
+    not evaluate it again; a closed form ignores it.
     """
 
     name = "base"
@@ -81,8 +83,10 @@ class SeverityFamily:
     def _cdf(self, x, alpha):
         return -np.expm1(self._log_sf(x, alpha))
 
-    def _hazard(self, x, alpha):
-        s = np.exp(self._log_sf(x, alpha))
+    def _hazard(self, x, alpha, log_sf=None):
+        if log_sf is None:
+            log_sf = self._log_sf(x, alpha)
+        s = np.exp(log_sf)
         if np.any(s == 0.0):
             raise SingularityError("survival underflowed to 0; hazard undefined")
         return self._pdf(x, alpha) / s
@@ -125,7 +129,7 @@ class Exponential(SeverityFamily):
     def _pdf(self, x, alpha):
         return alpha * np.exp(-alpha * x)
 
-    def _hazard(self, x, alpha):
+    def _hazard(self, x, alpha, log_sf=None):
         return np.broadcast_to(alpha, np.broadcast(x, alpha).shape).copy()
 
     def inverse_survival(self, u, alpha):
@@ -151,7 +155,7 @@ class WeibullRate(SeverityFamily):
             dxa = self.shape * np.power(x, self.shape - 1.0)
         return alpha * dxa * np.exp(-alpha * xa)
 
-    def _hazard(self, x, alpha):
+    def _hazard(self, x, alpha, log_sf=None):
         """alpha * shape * x**(shape - 1), finite where the survival underflows."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return alpha * self.shape * np.power(x, self.shape - 1.0)
@@ -224,7 +228,7 @@ class PowerGeneralizedWeibull(SeverityFamily):
             inner = (1.0 / alpha) * np.power(base, 1.0 / alpha - 1.0) * self.c * np.power(x, self.c - 1.0)
         return np.exp(1.0 - np.power(base, 1.0 / alpha)) * inner
 
-    def _hazard(self, x, alpha):
+    def _hazard(self, x, alpha, log_sf=None):
         """(c / alpha) * x**(c - 1) * (1 + x**c)**(1/alpha - 1), finite where the
         survival underflows."""
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,5 +1,9 @@
+import copy
 import math
+import sys
+import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from claimorder.errors import DomainError
+from claimorder import extremes
+from claimorder.cases import CASE_NAMES, get_case
+from claimorder.errors import ClaimOrderError, DomainError
 from claimorder.extremes import (
     ClaimCountDistribution,
     ExtremeKind,
@@ -60,6 +66,19 @@ class TestPortfolioAndCounts:
     def test_portfolio_rejects_non_finite_values(self, p, alpha):
         with pytest.raises(DomainError):
             exp_portfolio(p, alpha)
+
+    def test_validated_arrays_are_read_only_copies(self):
+        p, alpha = np.array([0.7, 0.3]), np.array([1.0, 2.0])
+        pf = exp_portfolio(p, alpha)
+        p[0], alpha[1] = 7.0, -1.0
+        assert pf.p.tolist() == [0.7, 0.3] and pf.alpha.tolist() == [1.0, 2.0]
+        support, weights = np.array([1, 2]), np.array([0.25, 0.75])
+        counts = ClaimCountDistribution(support, weights)
+        support[1], weights[0] = 9, 3.0
+        assert counts.support.tolist() == [1, 2] and counts.weights.tolist() == [0.25, 0.75]
+        for a in (pf.p, pf.alpha, counts.support, counts.weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_poisson_counts_rejects_non_finite_rate(self, lam):
@@ -387,3 +406,232 @@ class TestPrefixKernel:
             assert np.all((curve >= 0.0) & (curve <= 1.0 + 1e-12))
         rh = reversed_hazard_random(pf, counts, kind, xs)
         assert np.all(np.isfinite(rh)) and np.all(rh >= 0.0)
+
+
+# every public curve as fn(portfolio, counts, m, x)
+_PUBLIC_CURVES = {
+    "survival_min_fixed": lambda pf, c, m, x: survival_min_fixed(pf, m, x),
+    "cdf_min_fixed": lambda pf, c, m, x: cdf_min_fixed(pf, m, x),
+    "cdf_max_fixed": lambda pf, c, m, x: cdf_max_fixed(pf, m, x),
+    "reversed_hazard_min_fixed": lambda pf, c, m, x: reversed_hazard_min_fixed(pf, m, x),
+    "reversed_hazard_max_fixed": lambda pf, c, m, x: reversed_hazard_max_fixed(pf, m, x),
+    "survival_min_random": lambda pf, c, m, x: survival_min_random(pf, c, x),
+    "cdf_min_random": lambda pf, c, m, x: cdf_min_random(pf, c, x),
+    "survival_max_random": lambda pf, c, m, x: survival_max_random(pf, c, x),
+    "cdf_max_random": lambda pf, c, m, x: cdf_max_random(pf, c, x),
+    "reversed_hazard_random_min":
+        lambda pf, c, m, x: reversed_hazard_random(pf, c, ExtremeKind.MIN, x),
+    "reversed_hazard_random_max":
+        lambda pf, c, m, x: reversed_hazard_random(pf, c, ExtremeKind.MAX, x),
+}
+
+_MEMO_GRIDS = (
+    np.geomspace(0.01, 3.0, 17),
+    np.geomspace(0.01, 3.0, 17)[::2],
+    0.7,
+    np.array([[0.3, 1.0], [2.0, 0.05]]),
+    np.array([0.0, 0.5, 12.0, 40.0]),
+)
+
+
+def _outcome(name, pf, counts, m, x):
+    """The curve's shape and bytes, or the type and text of the error it raised."""
+    try:
+        v = np.asarray(_PUBLIC_CURVES[name](pf, counts, m, x), dtype=float)
+    except ClaimOrderError as e:
+        return type(e), str(e)
+    return v.shape, v.tobytes()
+
+
+def _cold(op):
+    extremes._memo.clear()
+    return _outcome(*op)
+
+
+def _memo_portfolios(pf):
+    """pf; one with pf's family object and alpha but other p, which shares pf's
+    memo entries; one with a copy of the family object and other alpha."""
+    other_p = np.clip(pf.p[::-1] * 0.9, 0.01, 0.99)
+    return (pf, Portfolio(pf.family, pf.psi, other_p, pf.alpha),
+            Portfolio(copy.copy(pf.family), pf.psi, other_p, pf.alpha * 1.25))
+
+
+class TestClaimTermsMemo:
+    def teardown_method(self):
+        extremes._memo.clear()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_instances(), st.booleans(), st.lists(
+        st.tuples(st.sampled_from(sorted(_PUBLIC_CURVES)), st.integers(0, 2),
+                  st.integers(0, len(_MEMO_GRIDS) - 1)), min_size=1, max_size=12))
+    def test_any_order_equals_a_cold_evaluation(self, instance, fixed_n, calls):
+        pf, counts, m = instance
+        if fixed_n:
+            counts = ClaimCountDistribution.degenerate(m)
+        portfolios = _memo_portfolios(pf)
+        ops = [(name, portfolios[i], counts, m, _MEMO_GRIDS[g]) for name, i, g in calls]
+        extremes._memo.clear()
+        warm = []
+        with np.errstate(all="ignore"):
+            for op in ops:
+                warm.append(_outcome(*op))
+                assert len(extremes._memo) <= extremes._MEMO_CAPACITY
+            for op, got in zip(ops, warm):
+                assert _cold(op) == got, op[0]
+
+    def test_a_comparison_evaluates_the_family_once_per_portfolio(self):
+        calls = []
+
+        class CountingScale(Scale):
+            def _log_sf(self, x, alpha):
+                calls.append("log_sf")
+                return super()._log_sf(x, alpha)
+
+            def _pdf(self, x, alpha):
+                calls.append("pdf")
+                return super()._pdf(x, alpha)
+
+        family = CountingScale(gamma_baseline(1.5))
+        pa, pb = (Portfolio(family, neg_log(), np.array([0.3, 0.5, 0.6]), a)
+                  for a in (np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.5, 3.5])))
+        counts = poisson_counts(1.3, [2, 3])
+        xs = np.geomspace(0.01, 8.0, 101)
+        extremes._memo.clear()
+        curves = [*_RANDOM.values(), *(partial(reversed_hazard_random, kind=k) for k in ExtremeKind)]
+        for curve in curves:
+            for pf in (pa, pb):
+                curve(pf, counts, x=xs)
+        assert calls == ["log_sf", "log_sf", "pdf", "pdf"]
+
+    def test_grid_mutated_in_place_gives_the_new_values(self):
+        pf = exp_portfolio([0.3, 0.5, 0.6], [1.0, 0.8, 1.5])
+        counts = poisson_counts(1.3, [2, 3])
+        xs = np.linspace(0.1, 3.0, 9)
+        before = reversed_hazard_random(pf, counts, ExtremeKind.MAX, xs)
+        xs *= 2.0
+        after = reversed_hazard_random(pf, counts, ExtremeKind.MAX, xs)
+        op = ("reversed_hazard_random_max", pf, counts, 3, xs)
+        assert _cold(op) == (after.shape, after.tobytes())
+        assert not np.array_equal(before, after)
+
+    def test_equal_family_objects_never_share_an_entry(self):
+        f1, f2 = WeibullRate(1.7), WeibullRate(1.7)
+        assert f1 == f2 and f1 is not f2
+        xs = np.linspace(0.1, 3.0, 9)
+        extremes._memo.clear()
+        for family in (f1, f2):
+            cdf_max_fixed(Portfolio(family, neg_log(), np.array([0.3, 0.5]),
+                                    np.array([1.0, 2.0])), 2, xs)
+        assert [id(t.family) for t in extremes._memo.values()] == [id(f1), id(f2)]
+
+    def test_memo_never_exceeds_its_capacity(self):
+        pf = exp_portfolio([0.3, 0.5, 0.6], [1.0, 0.8, 1.5])
+        extremes._memo.clear()
+        for k in range(1, 8):
+            reversed_hazard_max_fixed(pf, 3, np.linspace(0.1, float(k), 5))
+            assert len(extremes._memo) == min(k, extremes._MEMO_CAPACITY)
+
+    def test_threads_equal_serial_results(self):
+        pf = Portfolio(Scale(gamma_baseline(1.5)), neg_log(),
+                       np.linspace(0.2, 0.8, 12), np.linspace(1.0, 4.0, 12))
+        counts = poisson_counts(6.0, range(1, 13))
+        grids = (np.geomspace(0.01, 8.0, 301), np.geomspace(0.02, 6.0, 211))
+        ops = [(name, p, counts, 12, x) for name in sorted(_PUBLIC_CURVES)
+               for p in _memo_portfolios(pf) for x in grids]
+        serial = [_cold(op) for op in ops]
+        workers = 4
+        barrier = threading.Barrier(workers, timeout=30)
+        results, errors = {}, []
+
+        def work(i):
+            try:
+                barrier.wait()
+                order = ops[i:] + ops[:i]
+                results[i] = [_outcome(*op) for op in order * 2]
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            extremes._memo.clear()
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for i in range(workers):
+            assert results[i] == (serial[i:] + serial[:i]) * 2
+
+
+def _reference_x_max(portfolios, counts, kind):
+    """auto_x_grid's doubling search as one scalar evaluation per doubling and
+    portfolio, stopping at the first doubling every portfolio passes."""
+    x_max = 1.0
+    for _ in range(80):
+        done = True
+        for pf, ct in zip(portfolios, counts):
+            if kind is ExtremeKind.MAX:
+                ok = cdf_max_random(pf, ct, x_max) >= 1.0 - 1e-6
+            else:
+                ok = survival_min_random(pf, ct, x_max) <= 1e-6
+            if not ok:
+                done = False
+                break
+        if done:
+            break
+        x_max *= 2.0
+    return x_max
+
+
+def _assert_x_max_matches_reference(portfolios, counts, kind, points=200):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = auto_x_grid(portfolios, counts, kind, points=points)
+    ref = _reference_x_max(portfolios, counts, kind)
+    assert grid[-1] == ref
+    assert grid.tobytes() == auto_x_grid(portfolios, counts, kind, points=points,
+                                         x_max=ref).tobytes()
+    return ref
+
+
+class TestAutoGridSearch:
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FAMILIES))
+    def test_x_max_matches_the_doubling_loop(self, name, kind):
+        rng = np.random.default_rng(11)
+        family = SHIPPED_FAMILIES[name]
+        pfs = [Portfolio(family, neg_log(), rng.uniform(0.05, 0.9, 6), rng.uniform(0.5, 3.0, 6))
+               for _ in range(2)]
+        counts = [poisson_counts(2.5, [2, 4, 6]), ClaimCountDistribution.degenerate(6)]
+        _assert_x_max_matches_reference(pfs, counts, kind)
+
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    @pytest.mark.parametrize("case", CASE_NAMES)
+    def test_x_max_matches_the_doubling_loop_on_built_in_cases(self, case, kind):
+        spec = get_case(case)
+        _assert_x_max_matches_reference([spec.portfolio_a, spec.portfolio_b],
+                                        [spec.counts_a, spec.counts_b], kind, points=spec.points)
+
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    def test_tail_mass_never_reached(self, kind):
+        pf = exp_portfolio([0.3, 0.5], [1e-25, 3e-25])
+        counts = ClaimCountDistribution.degenerate(2)
+        assert _assert_x_max_matches_reference([pf], [counts], kind) == 2.0 ** 80
+
+    @pytest.mark.parametrize("kind", [ExtremeKind.MIN, ExtremeKind.MAX])
+    @pytest.mark.parametrize("family", [WeibullRate(60.0), PowerGeneralizedWeibull(40.0)])
+    def test_curves_that_overflow_past_the_answer_raise_no_warning(self, family, kind):
+        pf = Portfolio(family, neg_log(), np.array([0.3, 0.5, 0.7]), np.array([0.5, 1.0, 2.0]))
+        counts = ClaimCountDistribution.degenerate(3)
+        _assert_x_max_matches_reference([pf], [counts], kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_instances(), st.sampled_from([ExtremeKind.MIN, ExtremeKind.MAX]))
+    def test_x_max_matches_the_doubling_loop_on_random_instances(self, instance, kind):
+        pf, counts, _ = instance
+        _assert_x_max_matches_reference([pf], [counts], kind)

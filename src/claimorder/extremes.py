@@ -14,9 +14,11 @@ reads one row; a mixture weights the rows at the count support.  A curve on
 mixture, where n is the largest count used.
 
 The per-claim severity terms (log-survival, and the hazard once a reversed
-hazard asks for it) are remembered for the last two (family, alpha, grid)
-triples, so the survival, CDF and reversed-hazard curves of both portfolios
-of one comparison evaluate the family once per portfolio and grid.  The
+hazard asks for it) are remembered for the last four (family, alpha, grid)
+triples: both portfolios of one comparison, each on the grid that
+:func:`auto_x_grid` probes and on the comparison grid.  So the survival, CDF
+and reversed-hazard curves of one comparison, and every theorem audited on
+the same instance, evaluate the family once per portfolio and grid.  The
 remembered arrays are the ones an unremembered call computes, so every curve
 is bit for bit the same whatever was evaluated before it.
 """
@@ -176,8 +178,9 @@ def _check_counts(portfolio: Portfolio, counts: ClaimCountDistribution):
 # ---------------------------------------------------------------------------
 # the prefix kernel
 
-# two entries hold both portfolios of one comparison
-_MEMO_CAPACITY = 2
+# four entries hold both portfolios of one comparison, each on the auto_x_grid
+# probe grid and on the comparison grid
+_MEMO_CAPACITY = 4
 _memo: "OrderedDict[tuple, _ClaimTerms]" = OrderedDict()
 _memo_lock = threading.Lock()
 
@@ -258,8 +261,12 @@ def _prefixes(portfolio: Portfolio, m_max: int, x, kind: ExtremeKind, hazard: bo
     return logs.reshape(m_max, *x.shape), rates
 
 
+def _one_minus_exp(logs):
+    return -np.expm1(logs)
+
+
 def _cdf(kind: ExtremeKind, logs):
-    return -np.expm1(logs) if kind is ExtremeKind.MIN else np.exp(logs)
+    return _one_minus_exp(logs) if kind is ExtremeKind.MIN else np.exp(logs)
 
 
 def _density(logs, rates):
@@ -339,7 +346,10 @@ def cdf_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
 
 
 def survival_max_random(portfolio: Portfolio, counts: ClaimCountDistribution, x):
-    return 1.0 - cdf_max_random(portfolio, counts, x)
+    """sum_m P(N = m) (1 - P(T_{m:m} <= x)), each term via expm1 so that the
+    tail, where the CDF rounds to 1, keeps its digits."""
+    logs, _ = _random(portfolio, counts, x, ExtremeKind.MAX)
+    return _mixture(counts, _one_minus_exp, logs)
 
 
 def reversed_hazard_random(portfolio: Portfolio, counts: ClaimCountDistribution, kind: ExtremeKind, x):

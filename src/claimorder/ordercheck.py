@@ -108,7 +108,8 @@ def verify_st(curve_a, curve_b, grid, tol: float = 1e-9) -> OrderVerdict:
     """Verify A >=_st B: survival of A dominates survival of B on the grid.
 
     A crossing is confirmed only by two consecutive grid points violating
-    beyond ``tol``; the witness abscissa is then refined by bisection.
+    beyond ``tol``; the witness abscissa is then refined by bisection from
+    the last grid point before them where A's survival is at least B's.
     """
     _check_tol("tol", tol)
     grid = np.asarray(grid, dtype=float)
@@ -122,9 +123,10 @@ def verify_st(curve_a, curve_b, grid, tol: float = 1e-9) -> OrderVerdict:
     if not np.any(confirmed):
         return OrderVerdict(True, margin, spec)
     first = int(np.argmax(confirmed))
-    # refine the crossing between the last non-violating point and the run
+    # refine the crossing between the last point where A still dominates and
+    # the run; a point violating by at most tol brackets no sign change
     x_w = grid[first]
-    before = np.nonzero(~bad[: first + 1])[0]
+    before = np.nonzero(diff[: first + 1] >= 0)[0]
     if before.size:
         j = int(before[-1])
         g = lambda x: float(np.asarray(curve_a(np.array([x])) - curve_b(np.array([x])))[0])

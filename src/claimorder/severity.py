@@ -523,26 +523,21 @@ def _check_grid(grid, name, minimum=1):
     return g
 
 
-def _second_divided_differences(t, f, axis=-1):
-    """f[t_i, t_{i+1}, t_{i+2}] along ``axis``; nonnegative iff convex."""
-    f = np.moveaxis(np.asarray(f, dtype=float), axis, -1)
-    d1 = np.diff(f, axis=-1) / np.diff(t)
-    return np.diff(d1, axis=-1) / (t[2:] - t[:-2])
-
-
-def _monotone_check(values, axis, decreasing=True):
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    slack = -np.diff(v, axis=-1) if decreasing else np.diff(v, axis=-1)
-    return _to_check(slack)
-
-
-def _convex_check(t, values, axis):
-    return _to_check(_second_divided_differences(t, values, axis=axis))
+def _differences(t, f):
+    """First differences of ``f`` along its last axis, and its second divided
+    differences f[t_i, t_{i+1}, t_{i+2}] there, nonnegative iff convex."""
+    # finite values can still overflow here; the check below raises on that
+    # without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(f, axis=-1)
+        d2 = np.diff(d / np.diff(t), axis=-1) / (t[2:] - t[:-2])
+    # every first difference enters a second one, so this covers both
+    if not np.all(np.isfinite(d2)):
+        raise EvaluationError("non-finite value encountered in a regularity check")
+    return d, d2
 
 
 def _to_check(slack):
-    if not np.all(np.isfinite(slack)):
-        raise EvaluationError("non-finite value encountered in a regularity check")
     if slack.size == 0:
         return HypothesisCheck(True, np.inf)
     worst = float(slack.min())
@@ -561,7 +556,8 @@ def check_regularity(
     Monotonicity is checked via consecutive differences, convexity and
     log-convexity via second divided differences.  A hypothesis holds only
     if its defining inequality has margin >= -REGULARITY_TOL at every grid
-    point.
+    point.  The quantities checked in alpha, and those checked in p, are
+    stacked and differenced once, and each check reads its slice.
     """
     agrid = _check_grid(alpha_grid, "alpha_grid", minimum=3)
     xgrid = _check_grid(x_grid, "x_grid", minimum=1)
@@ -581,22 +577,30 @@ def check_regularity(
     F = np.asarray(family.cdf(X, A), dtype=float)
     dens = np.asarray(family.density(X, A), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        haz = dens / S
-        logF = np.log(F)
+        # every quantity checked in alpha, as [quantity, x, alpha]
+        in_alpha = np.stack([S, logS, np.log(F), dens / S])
     if not np.all(np.isfinite(logS)):
         raise EvaluationError("log-survival is non-finite on the grid")
 
     psi_vals = np.asarray(psi(pgrid), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        in_p = np.stack([psi_vals, np.log(psi_vals)])
+    # each value enters a difference, so a non-finite one fails its checks:
+    # raise before differencing it
+    if not (np.all(np.isfinite(in_alpha)) and np.all(np.isfinite(in_p))):
+        raise EvaluationError("non-finite value encountered in a regularity check")
+    d_alpha, d2_alpha = _differences(agrid, in_alpha)
+    d_p, d2_p = _differences(pgrid, in_p)
 
     return RegularityReport(
-        decreasing_in_alpha=_monotone_check(S, axis=1, decreasing=True),
-        convex_in_alpha=_convex_check(agrid, S, axis=1),
-        logconvex_in_alpha=_convex_check(agrid, logS, axis=1),
-        logconvex_in_alpha_of_F=_convex_check(agrid, logF, axis=1),
-        hazard_decreasing_in_alpha=_monotone_check(haz, axis=1, decreasing=True),
-        hazard_convex_in_alpha=_convex_check(agrid, haz, axis=1),
-        psi_decreasing=_monotone_check(psi_vals, axis=0, decreasing=True),
-        psi_increasing=_monotone_check(psi_vals, axis=0, decreasing=False),
-        psi_convex=_convex_check(pgrid, psi_vals, axis=0),
-        psi_logconvex=_convex_check(pgrid, np.log(psi_vals), axis=0),
+        decreasing_in_alpha=_to_check(-d_alpha[0]),
+        convex_in_alpha=_to_check(d2_alpha[0]),
+        logconvex_in_alpha=_to_check(d2_alpha[1]),
+        logconvex_in_alpha_of_F=_to_check(d2_alpha[2]),
+        hazard_decreasing_in_alpha=_to_check(-d_alpha[3]),
+        hazard_convex_in_alpha=_to_check(d2_alpha[3]),
+        psi_decreasing=_to_check(-d_p[0]),
+        psi_increasing=_to_check(d_p[0]),
+        psi_convex=_to_check(d2_p[0]),
+        psi_logconvex=_to_check(d2_p[1]),
     )

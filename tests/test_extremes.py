@@ -32,6 +32,7 @@ from claimorder.extremes import (
     survival_min_fixed,
     survival_min_random,
 )
+from claimorder.ordercheck import TheoremId, audit, theorem_grid
 from claimorder.severity import (
     Exponential,
     Gamma,
@@ -254,6 +255,26 @@ class TestRandomExtremes:
         assert np.allclose(
             reversed_hazard_random(self.pf, self.counts, kind, xs), fd, rtol=1e-4
         )
+
+    def test_max_survival_keeps_the_tail_digits(self):
+        # Example 3.1's portfolio A against 50-digit arithmetic; 1 - CDF kept
+        # only the CDF's absolute error, a relative error of 0.8 at x = 20
+        import mpmath
+
+        case = get_case("ex3_1")
+        pf, counts = case.portfolio_a, case.counts_a
+        xs = np.array([1.0, 5.0, 10.0, 15.0, 20.0])
+        got = survival_max_random(pf, counts, xs)
+        with mpmath.workdps(50):
+            for x, value in zip(xs, got):
+                # the scale family's survival at rate a: Q(1.5, a x), a x rounded as in floats
+                s = [mpmath.gammainc(1.5, mpmath.mpf(a * x), mpmath.inf, regularized=True)
+                     for a in pf.alpha]
+                want = mpmath.fsum(
+                    mpmath.mpf(w) * (1 - mpmath.fprod(1 - mpmath.mpf(p) * s[i]
+                                                      for i, p in enumerate(pf.p[:m])))
+                    for m, w in zip(counts.support, counts.weights))
+                assert abs((value - want) / want) <= 1e-12, x
 
     def test_auto_grid_covers_tail(self):
         grid = auto_x_grid([self.pf], [self.counts], ExtremeKind.MAX, points=400)
@@ -502,6 +523,42 @@ class TestClaimTermsMemo:
             for pf in (pa, pb):
                 curve(pf, counts, x=xs)
         assert calls == ["log_sf", "log_sf", "pdf", "pdf"]
+
+    def test_an_all_theorem_audit_evaluates_each_portfolio_and_grid_once(self, monkeypatch):
+        # what `claimorder audit` does: each theorem's grid, then its audit.
+        # Both portfolios on auto_x_grid's probe grid, on the MIN and MAX
+        # comparison grids and at the MIN witness are 8 keys; the probe
+        # grid's two are evaluated again after the MIN witness evicts them
+        case = get_case("ex3_1")
+        inputs = (case.portfolio_a, case.portfolio_b, case.counts_a, case.counts_b)
+
+        def audit_all():
+            out = []
+            for tid in TheoremId:
+                grid = theorem_grid(tid, *inputs, case.points)
+                try:
+                    out.append(repr(audit(tid, *inputs, grid=grid).to_dict()))
+                except DomainError as e:
+                    out.append(str(e))
+                assert len(extremes._memo) <= extremes._MEMO_CAPACITY
+            return out
+
+        made = []
+        terms = extremes._ClaimTerms
+
+        def counting(*args):
+            made.append(args)
+            return terms(*args)
+
+        monkeypatch.setattr(extremes, "_ClaimTerms", counting)
+        extremes._memo.clear()
+        warm = audit_all()
+        assert len(made) == 10
+        # with no entry kept, every lookup evaluates the family afresh
+        monkeypatch.setattr(extremes, "_MEMO_CAPACITY", 0)
+        extremes._memo.clear()
+        assert audit_all() == warm
+        assert len(made) > 10
 
     def test_grid_mutated_in_place_gives_the_new_values(self):
         pf = exp_portfolio([0.3, 0.5, 0.6], [1.0, 0.8, 1.5])

@@ -73,6 +73,13 @@ class TestVerifySt:
         )
         assert not v.holds and v.witness is not None
 
+    def test_witness_bisection_starts_where_a_still_dominates(self):
+        # with tol = 0.01 the run is preceded by points violating by less than
+        # tol, between which and the run the difference has no sign change
+        case = get_case("cex3_1")
+        v = verify_st(case.curve_b, case.curve_a, case.grid(), tol=0.01)
+        assert abs(v.witness[0] - 0.841381) <= 1e-6
+
 
 class TestVerifyRh:
     def test_constant_ratio_holds(self):

@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from claimorder import severity
@@ -10,9 +15,11 @@ from claimorder.severity import (
     BaselineDistribution,
     Exponential,
     Gamma,
+    HypothesisCheck,
     KumaraswamyG,
     PowerGeneralizedWeibull,
     ProportionalHazard,
+    RegularityReport,
     Scale,
     WeibullRate,
     check_regularity,
@@ -520,3 +527,132 @@ class TestRegularityChecker:
             check_regularity(Exponential(), neg_log(), [1.0, 2.0, 1.5], [1.0, 2.0])
         with pytest.raises(GridError):
             check_regularity(Exponential(), neg_log(), [1.0, 2.0, 3.0], [0.0, 1.0])
+
+    def test_non_finite_log_cdf_raises_the_typed_error_and_no_warning(self):
+        # the CDF of the shape-8 PHR family rounds to 0 near x = 0, so its log
+        # is -inf; the error used to follow numpy's "invalid value" warning
+        family = ProportionalHazard(gamma_baseline(8.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as err:
+                check_regularity(family, neg_log(), np.linspace(1.35, 3.85, 13),
+                                 np.geomspace(0.0032, 30.0, 25), p_grid=np.linspace(0.15, 0.3, 21))
+        assert str(err.value) == "non-finite value encountered in a regularity check"
+
+
+# the per-check check_regularity that the stacked pass replaced, kept as the
+# reference: each hypothesis takes its own differences and its own finite check
+
+
+def _reference_second_divided_differences(t, f, axis=-1):
+    f = np.moveaxis(np.asarray(f, dtype=float), axis, -1)
+    d1 = np.diff(f, axis=-1) / np.diff(t)
+    return np.diff(d1, axis=-1) / (t[2:] - t[:-2])
+
+
+def _reference_to_check(slack):
+    if not np.all(np.isfinite(slack)):
+        raise EvaluationError("non-finite value encountered in a regularity check")
+    if slack.size == 0:
+        return HypothesisCheck(True, np.inf)
+    worst = float(slack.min())
+    return HypothesisCheck(worst >= -severity.REGULARITY_TOL, worst)
+
+
+def _reference_monotone_check(values, axis, decreasing=True):
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    slack = -np.diff(v, axis=-1) if decreasing else np.diff(v, axis=-1)
+    return _reference_to_check(slack)
+
+
+def _reference_convex_check(t, values, axis):
+    return _reference_to_check(_reference_second_divided_differences(t, values, axis=axis))
+
+
+def _reference_check_regularity(family, psi, alpha_grid, x_grid, p_grid=None):
+    agrid = severity._check_grid(alpha_grid, "alpha_grid", minimum=3)
+    xgrid = severity._check_grid(x_grid, "x_grid", minimum=1)
+    if np.any(xgrid <= 0):
+        raise GridError("x_grid must be strictly positive")
+    if p_grid is None:
+        p_grid = np.linspace(0.02, 0.98, 49)
+    pgrid = severity._check_grid(p_grid, "p_grid", minimum=3)
+    if pgrid[0] <= 0 or pgrid[-1] >= 1:
+        raise GridError("p_grid must lie inside (0, 1)")
+    X = xgrid[:, None]
+    A = agrid[None, :]
+    logS = np.asarray(family.log_survival(X, A), dtype=float)
+    S = np.exp(logS)
+    F = np.asarray(family.cdf(X, A), dtype=float)
+    dens = np.asarray(family.density(X, A), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        haz = dens / S
+        logF = np.log(F)
+    if not np.all(np.isfinite(logS)):
+        raise EvaluationError("log-survival is non-finite on the grid")
+    psi_vals = np.asarray(psi(pgrid), dtype=float)
+    return RegularityReport(
+        decreasing_in_alpha=_reference_monotone_check(S, axis=1, decreasing=True),
+        convex_in_alpha=_reference_convex_check(agrid, S, axis=1),
+        logconvex_in_alpha=_reference_convex_check(agrid, logS, axis=1),
+        logconvex_in_alpha_of_F=_reference_convex_check(agrid, logF, axis=1),
+        hazard_decreasing_in_alpha=_reference_monotone_check(haz, axis=1, decreasing=True),
+        hazard_convex_in_alpha=_reference_convex_check(agrid, haz, axis=1),
+        psi_decreasing=_reference_monotone_check(psi_vals, axis=0, decreasing=True),
+        psi_increasing=_reference_monotone_check(psi_vals, axis=0, decreasing=False),
+        psi_convex=_reference_convex_check(pgrid, psi_vals, axis=0),
+        psi_logconvex=_reference_convex_check(pgrid, np.log(psi_vals), axis=0),
+    )
+
+
+def _regularity_outcome(check, *args, **kwargs):
+    """Each check's truth value and the bits of its margin, or the error raised."""
+    try:
+        report = check(*args, **kwargs)
+    except Exception as exc:  # compared with the reference's outcome below
+        return type(exc), str(exc)
+    out = []
+    for f in dataclasses.fields(report):
+        c = getattr(report, f.name)
+        out.append((f.name, type(c.holds), c.holds, struct.pack("<d", c.worst_margin)))
+    return out
+
+
+_PSI_KINDS = {
+    "neg_log": lambda v: neg_log(),
+    "exponential_decay": exponential_decay,
+    "power_inverse": power_inverse,
+    # increasing, and not positive where p <= c, so that its log is not finite
+    "custom": lambda v: custom_psi(lambda p, c=v / (1.0 + v): p - c,
+                                   lambda y, c=v / (1.0 + v): y + c, kind="shifted"),
+}
+
+
+def _increasing(elements, min_size, max_size=9):
+    return st.lists(elements, min_size=min_size, max_size=max_size, unique=True).map(sorted)
+
+
+class TestStackedRegularityPass:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(SHIPPED_FAMILIES)),
+        st.sampled_from(sorted(_PSI_KINDS)),
+        st.floats(1e-20, 5.0),
+        _increasing(st.floats(0.05, 40.0), 3),
+        _increasing(st.floats(-14.0, 2.5), 1).map(lambda e: sorted({10.0 ** v for v in e})),
+        _increasing(st.floats(1e-6, 1.0 - 1e-6, exclude_max=True), 3),
+    )
+    # S rounds to 1 at every alpha and psi to 1 at every p, so margins are zeros
+    @example("exponential", "exponential_decay", 1e-20, [0.5, 1.0, 2.0], [1e-300, 1e-20, 1.0],
+             [0.1, 0.5, 0.9])
+    @example("weibull_rate", "custom", 0.5, [0.5, 1.0, 2.0], [1e-12, 0.5, 60.0], [0.2, 0.4, 0.6])
+    @example("proportional_hazard", "neg_log", 1.0, [1.35, 2.0, 3.85], [0.0032, 1.0, 30.0],
+             [0.15, 0.2, 0.3])
+    def test_equals_the_per_check_reference(self, family, psi, v, agrid, xgrid, pgrid):
+        args = (SHIPPED_FAMILIES[family], _PSI_KINDS[psi](v), agrid, xgrid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with np.errstate(all="ignore"):
+                want = _regularity_outcome(_reference_check_regularity, *args, p_grid=pgrid)
+                got = _regularity_outcome(check_regularity, *args, p_grid=pgrid)
+        assert got == want

@@ -68,10 +68,6 @@ class InstanceSpec:
     def curve_b(self, x):
         return self._curve(self.portfolio_b, self.counts_b, x)
 
-    def delta(self, x):
-        a, b = self.curve_a(x), self.curve_b(x)
-        return a / b if self.comparison == "ratio" else a - b
-
     def grid(self, points: Optional[int] = None) -> np.ndarray:
         return auto_x_grid(
             [self.portfolio_a, self.portfolio_b],

@@ -32,7 +32,7 @@ from . import majorization as maj
 from .cases import CASE_NAMES, InstanceSpec, get_case
 from .errors import ClaimOrderError, DomainError, SpecError
 from .extremes import ClaimCountDistribution, ExtremeKind, Portfolio, poisson_counts
-from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, _bisect_root, audit, theorem_grid, verify_rh
+from .ordercheck import POTENTIAL_COUNTEREXAMPLE, TheoremId, audit, theorem_grid, verify_rh, verify_st
 from .severity import (
     Exponential,
     Gamma,
@@ -274,19 +274,18 @@ def write_curve_csv(path: str, x, value_a, value_b, delta) -> None:
 # reproduce
 
 
-def _difference_verdict(case, x, delta, tol) -> str:
-    if float(delta.max()) <= tol:
-        return f"holds: difference <= 0 everywhere (max difference {delta.max():.6g})"
-    if float(delta.min()) >= -tol:
-        return f"holds: difference >= 0 everywhere (min difference {delta.min():.6g})"
-    signs = np.sign(np.where(np.abs(delta) <= tol, 0.0, delta))
-    nz = np.nonzero(signs)[0]
-    flip = nz[np.nonzero(np.diff(signs[nz]))[0]]
-    i = int(flip[0])
-    j = int(nz[np.searchsorted(nz, i) + 1])
-    fn = lambda t: float(case.delta(np.array([t]))[0])
-    x_w = _bisect_root(fn, float(x[i]), float(x[j]))
-    return f"sign change at x ~= {x_w:.6g}"
+def _difference_verdict(case, x, tol) -> str:
+    # fl(b - a) = -fl(a - b), so b >=_st a holding is max(a - b) <= tol;
+    # 0.0 - margin prints a zero margin as 0, not -0
+    le = verify_st(case.curve_b, case.curve_a, x, tol)
+    if le.holds:
+        return f"holds: difference <= 0 everywhere (max difference {0.0 - le.margin:.6g})"
+    ge = verify_st(case.curve_a, case.curve_b, x, tol)
+    if ge.holds:
+        return f"holds: difference >= 0 everywhere (min difference {ge.margin:.6g})"
+    # the direction failing later brackets the first crossing; the other's
+    # witness lies before that bracket
+    return f"sign change at x ~= {max(le.witness[0], ge.witness[0]):.6g}"
 
 
 def _ratio_verdict(case, x, tol) -> str:
@@ -311,7 +310,7 @@ def cmd_reproduce(args) -> int:
     if case.comparison == "ratio":
         verdict = _ratio_verdict(case, x, args.tol)
     else:
-        verdict = _difference_verdict(case, x, delta, args.tol)
+        verdict = _difference_verdict(case, x, args.tol)
     print(f"{args.case}: {verdict}")
     return EXIT_OK
 
@@ -480,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("case", choices=CASE_NAMES)
     rep.add_argument("--out", help="CSV output path")
     rep.add_argument("--points", type=int, default=2000)
-    rep.add_argument("--tol", type=_tolerance, default=1e-9)
+    rep.add_argument("--tol", type=_tolerance, default=1e-9,
+                     help="a difference beyond it at one grid point decides; a ratio must "
+                          "fall by more in two consecutive steps (default 1e-9)")
     rep.add_argument(
         "--literal", action="store_true",
         help="use published probabilities verbatim; refuse if any lies outside (0, 1)",

@@ -107,9 +107,11 @@ def _check_tol(name: str, value: float) -> None:
 def verify_st(curve_a, curve_b, grid, tol: float = 1e-9) -> OrderVerdict:
     """Verify A >=_st B: survival of A dominates survival of B on the grid.
 
-    A crossing is confirmed only by two consecutive grid points violating
-    beyond ``tol``; the witness abscissa is then refined by bisection from
-    the last grid point before them where A's survival is at least B's.
+    The order holds exactly when no grid point has A's survival below B's by
+    more than ``tol``, so a failure on a grid also fails on any grid that
+    contains it.  The witness is the first such point; when A's survival is at
+    least B's at some earlier point, the witness abscissa is refined by
+    bisection from the last of those points.
     """
     _check_tol("tol", tol)
     grid = np.asarray(grid, dtype=float)
@@ -118,19 +120,16 @@ def verify_st(curve_a, curve_b, grid, tol: float = 1e-9) -> OrderVerdict:
     diff = a - b
     margin = float(diff.min())
     spec = _grid_spec(grid)
-    bad = diff < -tol
-    confirmed = bad[:-1] & bad[1:]
-    if not np.any(confirmed):
+    if margin >= -tol:
         return OrderVerdict(True, margin, spec)
-    first = int(np.argmax(confirmed))
-    # refine the crossing between the last point where A still dominates and
-    # the run; a point violating by at most tol brackets no sign change
-    x_w = grid[first]
-    before = np.nonzero(diff[: first + 1] >= 0)[0]
-    if before.size:
-        j = int(before[-1])
-        g = lambda x: float(np.asarray(curve_a(np.array([x])) - curve_b(np.array([x])))[0])
-        x_w = _bisect_root(g, grid[j], grid[first + 1])
+    first = int(np.argmax(diff < -tol))
+    # a point violating by at most tol brackets no sign change
+    before = np.nonzero(diff[:first] >= 0)[0]
+    if not before.size:
+        witness = (float(grid[first]), float(a[first]), float(b[first]))
+        return OrderVerdict(False, margin, spec, witness=witness)
+    g = lambda x: float(np.asarray(curve_a(np.array([x])) - curve_b(np.array([x])))[0])
+    x_w = _bisect_root(g, grid[before[-1]], grid[first])
     lhs = float(np.asarray(curve_a(np.array([x_w])))[0])
     rhs = float(np.asarray(curve_b(np.array([x_w])))[0])
     return OrderVerdict(False, margin, spec, witness=(float(x_w), lhs, rhs))

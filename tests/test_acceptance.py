@@ -75,7 +75,7 @@ def test_criterion_1_example_difference_nonpositive():
     t0 = time.perf_counter()
     case = get_case("ex3_1")
     x = case.grid()
-    delta = case.delta(x)
+    delta = case.curve_a(x) - case.curve_b(x)
     elapsed = time.perf_counter() - t0
     ok = bool(np.all(delta <= 1e-9)) and elapsed < 5.0
     report(1, ok, f"max CDF difference {delta.max():.3g} <= 1e-9 on {x.size} points in {elapsed:.2f}s")
@@ -85,7 +85,7 @@ def test_criterion_2_first_counterexample_sign_change():
     t0 = time.perf_counter()
     case = get_case("cex3_1")
     x = case.grid()
-    delta = case.delta(x)
+    delta = case.curve_a(x) - case.curve_b(x)
     has_neg = bool(np.any(delta < -1e-9))
     has_pos = bool(np.any(delta > 1e-9))
     # bisect the first crossing to width 1e-6
@@ -94,7 +94,7 @@ def test_criterion_2_first_counterexample_sign_change():
     flip = nz[np.nonzero(np.diff(signs[nz]))[0]][0]
     lo = float(x[flip])
     hi = float(x[nz[np.searchsorted(nz, flip) + 1]])
-    fn = lambda t: float(case.delta(np.array([t]))[0])
+    fn = lambda t: float((case.curve_a(np.array([t])) - case.curve_b(np.array([t])))[0])
     x_w = _bisect_root(fn, lo, hi)
     crossing_confirmed = np.sign(fn(x_w - 1e-6)) != np.sign(fn(x_w + 1e-6))
     elapsed = time.perf_counter() - t0
@@ -105,7 +105,7 @@ def test_criterion_2_first_counterexample_sign_change():
 def test_criterion_3_second_counterexample_crossing_and_counts():
     case = get_case("cex3_2")
     x = case.grid()
-    delta = case.delta(x)
+    delta = case.curve_a(x) - case.curve_b(x)
     has_both_signs = bool(np.any(delta < -1e-9)) and bool(np.any(delta > 1e-9))
     counts_dominance = counts_st_leq(case.counts_a, case.counts_b)
     ok = has_both_signs and not counts_dominance
@@ -115,7 +115,7 @@ def test_criterion_3_second_counterexample_crossing_and_counts():
 def test_criterion_4_third_counterexample_ratio_decreases():
     case = get_case("cex3_3")
     x = case.grid()
-    ratio = case.delta(x)
+    ratio = case.curve_a(x) / case.curve_b(x)
     steps = np.diff(ratio)
     bad = steps < -1e-9
     runs = bad[:-1] & bad[1:]

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from claimorder.cli import load_instance_spec, main, write_curve_csv
+from claimorder.cases import get_case
+from claimorder.cli import _difference_verdict, load_instance_spec, main, write_curve_csv
 from claimorder.ordercheck import TheoremId, audit
 
 GOOD_SPEC = """
@@ -73,6 +75,18 @@ class TestReproduce:
 
     def test_third_counterexample_ratio_not_monotone(self, capsys):
         _assert_reproduce_stdout("cex3_3", capsys)
+
+    def test_second_counterexample_holds_within_a_wide_tolerance(self, capsys):
+        assert main(["reproduce", "cex3_2", "--tol", "1e-3"]) == 0
+        out = capsys.readouterr().out
+        assert out == "cex3_2: holds: difference <= 0 everywhere (max difference 0.000224391)\n"
+
+    def test_swapped_example_holds_with_a_nonnegative_difference(self):
+        case = get_case("ex3_1")
+        swapped = dataclasses.replace(case, portfolio_a=case.portfolio_b, portfolio_b=case.portfolio_a,
+                                      counts_a=case.counts_b, counts_b=case.counts_a)
+        verdict = _difference_verdict(swapped, swapped.grid(), 1e-9)
+        assert verdict == "holds: difference >= 0 everywhere (min difference 7.77379e-07)"
 
     def test_literal_mode_refuses_corrected_probabilities(self, capsys):
         assert main(["reproduce", "ex3_1", "--literal"]) == 1

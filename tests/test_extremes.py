@@ -526,9 +526,9 @@ class TestClaimTermsMemo:
 
     def test_an_all_theorem_audit_evaluates_each_portfolio_and_grid_once(self, monkeypatch):
         # what `claimorder audit` does: each theorem's grid, then its audit.
-        # Both portfolios on auto_x_grid's probe grid, on the MIN and MAX
-        # comparison grids and at the MIN witness are 8 keys; the probe
-        # grid's two are evaluated again after the MIN witness evicts them
+        # Both portfolios on auto_x_grid's probe grid and on the MIN and MAX
+        # comparison grids are 6 keys, each evaluated once; the MIN witness
+        # is a grid point, whose values verify_st already holds
         case = get_case("ex3_1")
         inputs = (case.portfolio_a, case.portfolio_b, case.counts_a, case.counts_b)
 
@@ -553,7 +553,7 @@ class TestClaimTermsMemo:
         monkeypatch.setattr(extremes, "_ClaimTerms", counting)
         extremes._memo.clear()
         warm = audit_all()
-        assert len(made) == 10
+        assert len(made) == 6
         # with no entry kept, every lookup evaluates the family afresh
         monkeypatch.setattr(extremes, "_MEMO_CAPACITY", 0)
         extremes._memo.clear()

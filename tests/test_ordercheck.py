@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimorder.cases import get_case
 from claimorder.errors import DomainError
@@ -19,6 +21,7 @@ from claimorder.ordercheck import (
     POTENTIAL_COUNTEREXAMPLE,
     TheoremId,
     _bisect_root,
+    _refine,
     audit,
     schur_test,
     verify_rh,
@@ -29,6 +32,20 @@ from claimorder.severity import Exponential, neg_log
 
 def exp_portfolio(p, alpha):
     return Portfolio(Exponential(), neg_log(), np.asarray(p, float), np.asarray(alpha, float))
+
+
+# differences on an even grid, read between points by linear interpolation;
+# the small values put points within and just beyond each tolerance
+_diffs = st.lists(
+    st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 1e-10, -1e-10, -1e-6, -2e-3])),
+    min_size=2, max_size=40,
+)
+_tols = st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1])
+
+
+def _piecewise_linear(diffs):
+    grid = np.linspace(0.0, 1.0, len(diffs))
+    return grid, lambda x: np.interp(x, grid, diffs), np.zeros_like
 
 
 class TestVerifySt:
@@ -46,12 +63,55 @@ class TestVerifySt:
         x_w, lhs, rhs = v.witness
         assert lhs < rhs
 
-    def test_single_point_noise_is_not_a_crossing(self):
-        grid = np.linspace(0.0, 1.0, 50)
+    def test_one_point_beyond_tol_fails_with_witness_in_the_cell_before_it(self):
         spike = np.zeros(50)
         spike[20] = -1e-6
-        v = verify_st(lambda x: np.interp(x, grid, spike), lambda x: np.zeros_like(x), grid)
-        assert v.holds  # needs two consecutive violations
+        grid, a, zero = _piecewise_linear(spike)
+        v = verify_st(a, zero, grid)
+        assert not v.holds and v.margin == -1e-6
+        assert grid[19] < v.witness[0] < grid[20]
+
+    def test_one_point_within_tol_holds(self):
+        spike = np.zeros(50)
+        spike[20] = -1e-10
+        grid, a, zero = _piecewise_linear(spike)
+        v = verify_st(a, zero, grid)
+        assert v.holds and v.margin == -1e-10 and v.witness is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_diffs, _tols)
+    def test_holds_exactly_when_no_point_is_beyond_tol(self, diffs, tol):
+        grid, a, zero = _piecewise_linear(diffs)
+        v = verify_st(a, zero, grid, tol)
+        assert v.holds == (min(diffs) >= -tol)
+        assert v.margin == min(diffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_diffs, _tols)
+    def test_a_failure_still_fails_on_the_refined_grid(self, diffs, tol):
+        grid, a, zero = _piecewise_linear(diffs)
+        if not verify_st(a, zero, grid, tol).holds:
+            assert not verify_st(a, zero, _refine(grid), tol).holds
+
+    @settings(max_examples=200, deadline=None)
+    @given(_diffs, _tols)
+    def test_the_witness_bracket_runs_from_a_dominating_point_to_the_first_violation(
+            self, diffs, tol):
+        grid, a, zero = _piecewise_linear(diffs)
+        diff = np.asarray(diffs)
+        v = verify_st(a, zero, grid, tol)
+        if v.holds:
+            return
+        first = int(np.argmax(diff < -tol))
+        x_w, lhs, rhs = v.witness
+        dominating = np.nonzero(diff[:first] >= 0)[0]
+        if not dominating.size:
+            assert (x_w, lhs, rhs) == (grid[first], diff[first], 0.0)
+            return
+        # the bracket runs from the last point with diff >= 0 before the first
+        # point with diff < -tol to that point
+        assert grid[dominating[-1]] < x_w < grid[first]
+        assert (lhs, rhs) == (float(a(np.array([x_w]))[0]), 0.0)
 
     def test_published_example_max_curves_hold(self):
         case = get_case("ex3_1")
@@ -74,8 +134,9 @@ class TestVerifySt:
         assert not v.holds and v.witness is not None
 
     def test_witness_bisection_starts_where_a_still_dominates(self):
-        # with tol = 0.01 the run is preceded by points violating by less than
-        # tol, between which and the run the difference has no sign change
+        # with tol = 0.01 the first point beyond tol is preceded by points
+        # violating by less than tol, between which and it the difference
+        # has no sign change
         case = get_case("cex3_1")
         v = verify_st(case.curve_b, case.curve_a, case.grid(), tol=0.01)
         assert abs(v.witness[0] - 0.841381) <= 1e-6

@@ -25,7 +25,6 @@ import sys
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import extremes as ext
 from . import majorization as maj
@@ -194,6 +193,9 @@ def _build_counts(node, path) -> ClaimCountDistribution:
 
 
 def load_instance_spec(path: str) -> InstanceSpec:
+    # imported here: only the commands that read an instance file need it
+    import yaml
+
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)

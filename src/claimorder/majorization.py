@@ -6,6 +6,11 @@ with both vectors sorted ascending the prefix sums of ``b`` dominate those of
 ``a`` and the totals agree.  ``weakly_supermajorizes(a, b)`` drops the total
 equality and requires prefix-sum dominance at every length.  The notation in
 the literature is two-sided; the CLI reports both directional readings.
+
+``scipy.optimize`` is imported only when a linear program runs:
+``chain_majorizes_doubly_stochastic`` first compares the row totals, which
+``B = A P`` must keep, and solves its LP only when both rows agree;
+``birkhoff_vertex_feasible`` always solves one.
 """
 
 from __future__ import annotations
@@ -35,6 +40,15 @@ __all__ = [
 ]
 
 PREFIX_TOL = 1e-12
+
+# B = A P with P doubly stochastic keeps each row's total.  A row whose totals
+# differ by more than this share of max(1, sum |a_r| + sum |b_r|) rules B out
+# without the LP.  The LP itself accepts gaps up to about 1e-7 of that size
+# (its absolute tolerance on small rows), ten times below this margin.
+ROW_TOTAL_MARGIN = 1e-6
+
+# birkhoff_vertex_feasible has one LP column per permutation of n
+BIRKHOFF_MAX_N = 8
 
 
 def _pair(a, b):
@@ -154,15 +168,25 @@ def _ds_constraints(A: np.ndarray, B: np.ndarray):
 
 
 def chain_majorizes_doubly_stochastic(A: ParamMatrix, B: ParamMatrix) -> DoublyStochasticResult:
-    """Decide whether B = A P for some doubly stochastic P; return P when feasible."""
+    """Decide whether B = A P for some doubly stochastic P; return P when feasible.
+
+    A row whose totals differ by more than ``ROW_TOTAL_MARGIN`` of its size
+    is infeasible without the LP (P's rows sum to 1).
+    """
     if A.n != B.n:
         raise DomainError("matrices must have equal width")
+    a, b = A.as_array(), B.as_array()
+    gap = np.abs(b.sum(axis=1) - a.sum(axis=1))
+    size = np.maximum(1.0, np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1))
+    # written so that NaN, for which every comparison is false, goes to the LP
+    if np.any(gap > ROW_TOTAL_MARGIN * size):
+        return DoublyStochasticResult(False, None)
     # imported here: scipy.optimize costs a noticeable share of every CLI start,
     # and only the two LP checks use it
     from scipy import optimize
 
     n = A.n
-    Aeq, beq = _ds_constraints(A.as_array(), B.as_array())
+    Aeq, beq = _ds_constraints(a, b)
     res = optimize.linprog(
         c=np.zeros(n * n),
         A_eq=Aeq,
@@ -179,10 +203,13 @@ def chain_majorizes_doubly_stochastic(A: ParamMatrix, B: ParamMatrix) -> DoublyS
 
 def birkhoff_vertex_feasible(A: ParamMatrix, B: ParamMatrix) -> bool:
     """Exhaustive check over the Birkhoff vertices: is B = A P for P in the
-    convex hull of all n! permutation matrices?  Intended for n <= 6."""
+    convex hull of all n! permutation matrices?  Always solves its LP, whose
+    2n x n! matrix limits it to n <= ``BIRKHOFF_MAX_N``."""
     if A.n != B.n:
         raise DomainError("matrices must have equal width")
     n = A.n
+    if n > BIRKHOFF_MAX_N:
+        raise DomainError(f"Birkhoff vertex check needs n <= {BIRKHOFF_MAX_N}, got n = {n}")
     Aarr, Barr = A.as_array(), B.as_array()
     cols = []
     for perm in itertools.permutations(range(n)):

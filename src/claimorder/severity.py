@@ -4,6 +4,10 @@ A severity family is a parameterized lifetime law exposing survival, density,
 hazard and reversed-hazard functions at ``(x, alpha)``.  All survival values
 are computed in log-space internally so that products of many small survivals
 do not underflow.
+
+``scipy.special`` is imported where a gamma function is called, not with this
+module: building a family, gamma baselines included, loads none of it, so
+exponential, Weibull and PGW work never pays its import.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, EvaluationError, GridError, SingularityError
 
@@ -179,6 +182,7 @@ class Gamma(SeverityFamily):
         _check_parameter("Gamma scale theta", self.theta)
 
     def _log_sf(self, x, alpha):
+        from scipy import special
         q = special.gammaincc(alpha, x / self.theta)
         if not np.all((q >= 0.0) & (q <= 1.0)):
             raise EvaluationError("incomplete gamma left [0, 1]")
@@ -186,6 +190,7 @@ class Gamma(SeverityFamily):
             return np.log(q)
 
     def _pdf(self, x, alpha):
+        from scipy import special
         with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = (
                 (alpha - 1.0) * np.log(x)
@@ -203,9 +208,11 @@ class Gamma(SeverityFamily):
         )
 
     def _cdf(self, x, alpha):
+        from scipy import special
         return special.gammainc(alpha, x / self.theta)
 
     def inverse_survival(self, u, alpha):
+        from scipy import special
         return _as_float(special.gammainccinv(alpha, u) * self.theta)
 
 
@@ -283,19 +290,36 @@ def gamma_baseline(shape: float) -> BaselineDistribution:
     """Unit-scale gamma baseline with fixed ``shape``; wrap in :class:`Scale`
     to obtain the rate-parameterized gamma family F-bar(x; alpha) = Q(shape, alpha x)."""
     _check_parameter("gamma shape", shape)
+
+    def cdf(x):
+        from scipy import special
+        return special.gammainc(shape, x)
+
     def pdf(x):
+        from scipy import special
         return np.exp(
             (shape - 1.0) * np.log(np.maximum(x, np.finfo(float).tiny))
             - np.asarray(x, dtype=float)
             - special.gammaln(shape)
         )
 
+    def ppf(q):
+        from scipy import special
+        return special.gammaincinv(shape, q)
+
+    def sf(x):
+        from scipy import special
+        return special.gammaincc(shape, x)
+
+    def dpdf(x):
+        return pdf(x) * ((shape - 1.0) / np.maximum(x, np.finfo(float).tiny) - 1.0)
+
     return BaselineDistribution(
-        cdf=lambda x: special.gammainc(shape, x),
+        cdf=cdf,
         pdf=pdf,
-        ppf=lambda q: special.gammaincinv(shape, q),
-        sf=lambda x: special.gammaincc(shape, x),
-        dpdf=lambda x: pdf(x) * ((shape - 1.0) / np.maximum(x, np.finfo(float).tiny) - 1.0),
+        ppf=ppf,
+        sf=sf,
+        dpdf=dpdf,
         name=f"gamma_baseline(shape={shape:g})",
     )
 

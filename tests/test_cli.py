@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import claimorder
 from claimorder.cases import get_case
 from claimorder.cli import _difference_verdict, load_instance_spec, main, write_curve_csv
 from claimorder.ordercheck import TheoremId, audit
@@ -300,6 +304,30 @@ class TestMajorize:
         assert "psi rows: sorted-ascending prefix sums" in out
         assert "doubly stochastic" in out
         assert "M_n" in out
+
+
+# one fresh process: after each step, the SciPy modules it has loaded
+_LOADED_SCIPY = """
+import contextlib, io, json, sys
+from claimorder import cli
+wanted = ("scipy.special", "scipy.optimize")
+loaded = {"import": [m for m in wanted if m in sys.modules]}
+for command in ("majorize", "audit"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main([command, sys.argv[1]])
+    loaded[command] = [m for m in wanted if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_no_gamma_functions_or_lp_solver_it_does_not_use(spec_file):
+    # spec_file is exponential, and its alpha rows total 7.5 and 9.0, so no
+    # command needs an incomplete gamma function or the doubly stochastic LP
+    src = os.path.dirname(os.path.dirname(os.path.abspath(claimorder.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, spec_file], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {"import": [], "majorize": [], "audit": []}
 
 
 class TestSimulate:

@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from claimorder import majorization
 from claimorder.errors import DomainError
 from claimorder.majorization import (
+    ROW_TOTAL_MARGIN,
     ParamMatrix,
     TTransform,
     _ds_constraints,
@@ -169,6 +174,13 @@ def loop_ds_constraints(A, B):
     return np.array(rows), np.array(rhs)
 
 
+def _lp_verdict(A, B):
+    """The LP's verdict on B = A P, with the row-total check switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(majorization, "ROW_TOTAL_MARGIN", np.inf)
+        return chain_majorizes_doubly_stochastic(A, B).feasible
+
+
 class TestDoublyStochastic:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_constraints_equal_the_loop_version(self, n):
@@ -216,6 +228,64 @@ class TestDoublyStochastic:
             else:
                 B = ParamMatrix(rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n))
             assert chain_majorizes_doubly_stochastic(A, B).feasible == birkhoff_vertex_feasible(A, B)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_shifted_row_totals_agree_with_birkhoff_oracle(self, data):
+        # B = A P for a random doubly stochastic P, then one entry of B moved
+        # by a share of its row's total
+        n = data.draw(st.integers(2, 6))
+        scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+        entries = st.floats(0.2, 3.0)
+        A = ParamMatrix(*(np.array(data.draw(st.lists(entries, min_size=n, max_size=n))) * scale
+                          for _ in range(2)))
+        perms = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(perms),
+                                        max_size=len(perms))))
+        P = sum(wi * np.eye(n)[:, list(p)] for wi, p in zip(w / w.sum(), perms))
+        Barr = A.as_array() @ P
+        # a decade of -13 leaves B = A P as it is
+        decade = data.draw(st.integers(-13, -3))
+        shift = 0.0 if decade == -13 else 10.0 ** (decade + data.draw(st.floats(0.0, 1.0)))
+        r, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, n - 1))
+        Barr[r, j] += data.draw(st.sampled_from([-1.0, 1.0])) * shift * Barr[r].sum()
+        B = ParamMatrix(Barr[0], Barr[1])
+
+        feasible = chain_majorizes_doubly_stochastic(A, B).feasible
+        # the row-total check never changes the LP's verdict ...
+        assert feasible == _lp_verdict(A, B)
+        # ... and where it decides, or nothing was shifted, the oracle agrees.
+        # Gaps below the margin are left out: there the two LPs' own
+        # tolerances can disagree, with or without the check.
+        size = max(1.0, np.abs(A.as_array()[r]).sum() + np.abs(Barr[r]).sum())
+        if shift == 0.0 or abs(Barr[r].sum() - A.as_array()[r].sum()) > ROW_TOTAL_MARGIN * size:
+            assert feasible == birkhoff_vertex_feasible(A, B)
+
+    @pytest.mark.parametrize("gap", [1e-8, 5e-8, 2e-7, 2e-6])
+    def test_small_rows_leave_gaps_within_the_lp_tolerance_to_the_lp(self, gap):
+        # rows totalling about 1e-2: the LP accepts absolute gaps up to about
+        # 1e-7, so a margin relative to the rows alone would refuse them
+        A = ParamMatrix(np.array([1e-3, 2e-3, 3e-3]), np.array([2e-3, 1e-3, 4e-3]))
+        Barr = A.as_array() @ (0.6 * np.eye(3) + 0.4 * np.eye(3)[:, [1, 2, 0]])
+        Barr[0, 0] += gap
+        B = ParamMatrix(Barr[0], Barr[1])
+        assert chain_majorizes_doubly_stochastic(A, B).feasible == _lp_verdict(A, B)
+
+    def test_unequal_row_totals_are_decided_without_the_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        A = ParamMatrix(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
+        for B in (ParamMatrix(np.array([5.0, 5.0]), np.array([1.0, 3.0])),
+                  ParamMatrix(np.array([2.0, 1.0]), np.array([3.0, 1.0 + 1e-5]))):
+            res = chain_majorizes_doubly_stochastic(A, B)
+            assert not res.feasible and res.witness is None
+
+    def test_birkhoff_oracle_refuses_large_n(self):
+        A = ParamMatrix(np.arange(1.0, 10.0), np.arange(1.0, 10.0))
+        with pytest.raises(DomainError, match="n <= 8"):
+            birkhoff_vertex_feasible(A, A)
 
     def test_ds_implies_row_implies_row_weak(self):
         rng = np.random.default_rng(9)

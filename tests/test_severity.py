@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -244,7 +245,7 @@ class TestNanBaseline:
             ProportionalHazard(base).survival(1.0, 2.0)
 
     def test_nan_incomplete_gamma_raises(self, monkeypatch):
-        monkeypatch.setattr(severity.special, "gammaincc",
+        monkeypatch.setattr(scipy.special, "gammaincc",
                             lambda a, z: np.full(np.broadcast(a, z).shape, np.nan))
         with pytest.raises(EvaluationError):
             Gamma(theta=1.5).log_survival(np.array([0.5, 1.0]), 2.0)
